@@ -3,10 +3,16 @@ lattice groups.
 
 Vertices of the tree correspond to cosets of vertex groups.  A finite ball,
 with each vertex carrying the holonomy label accumulated along its root path,
-is enough to measure which halfspaces carry the holonomy and how directed
-paths lift at a given tolerance.  Vertices live in breadth-first order inside
-parallel numpy arrays; labels are interned so the number of exact matrix
-products is proportional to the number of distinct labels, not ball size.
+is enough to measure which halfspaces carry the holonomy.  ``build_ball``
+materializes a ball: vertices live in breadth-first order inside parallel
+numpy arrays, and ``halfspace`` / ``carries_holonomy`` score it.  Labels are
+interned so the number of exact matrix products is proportional to the
+number of distinct labels, not ball size.
+
+The classifier never materializes a ball.  A vertex's subtree depends only
+on its state (vertex type, the edge-end it arrived by, its label), so
+``_state_coverage`` keeps one exact count per state and depth and scores the
+same coverage reports from those counts.
 
 Coset indices are bookkeeping tags that make sibling subtrees distinct; they
 never enter the label arithmetic.
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -31,8 +38,6 @@ CAP_ENV_VAR = "COARSEBUNDLE_VERTEX_CAP"
 
 IOTA_SIDE = "iota-side"
 TAU_SIDE = "tau-side"
-FORWARD = "iota-to-tau"
-BACKWARD = "tau-to-iota"
 
 # Slack for comparing float label distances against a radius.  Distances in
 # the corpora are sums of logs of rational singular values, so ties happen
@@ -50,18 +55,6 @@ def resolve_vertex_cap(cap: Optional[int]) -> int:
     if cap < 1:
         raise ValueError("vertex cap must be positive")
     return cap
-
-
-@dataclass(frozen=True)
-class TreeVertex:
-    """One ball vertex in record form."""
-
-    tree_vertex_id: int
-    type: str
-    parent: Optional[int]
-    via_edge: Optional[tuple[str, str, int]]
-    holonomy_label: RatMatrix
-    depth: int
 
 
 @dataclass(eq=False)
@@ -101,36 +94,8 @@ class TreeBall:
         off = self.sphere_offsets
         return [off[r + 1] - off[r] for r in range(len(off) - 1)]
 
-    @property
-    def root(self) -> TreeVertex:
-        return self.vertex_record(0)
-
-    def vertex_type(self, i: int) -> str:
-        return self.graph.vertices[int(self.vtype[i])]
-
     def holonomy_label(self, i: int) -> RatMatrix:
         return self.labels[int(self.label_ids[i])]
-
-    def via_edge(self, i: int) -> Optional[tuple[str, str, int]]:
-        pos = int(self.via_edge_pos[i])
-        if pos < 0:
-            return None
-        direction = FORWARD if self.via_forward[i] else BACKWARD
-        return (self.graph.edges[pos].id, direction, int(self.via_coset[i]))
-
-    def vertex_record(self, i: int) -> TreeVertex:
-        i = int(i)
-        if not 0 <= i < self.size:
-            raise IndexError(f"tree vertex {i} out of range")
-        parent = int(self.parent[i])
-        return TreeVertex(
-            tree_vertex_id=i,
-            type=self.vertex_type(i),
-            parent=None if parent < 0 else parent,
-            via_edge=self.via_edge(i),
-            holonomy_label=self.holonomy_label(i),
-            depth=int(self.depth[i]),
-        )
 
     def subtree_mask(self, i: int) -> np.ndarray:
         """Boolean mask of the descendants of ``i`` (inclusive).
@@ -162,13 +127,6 @@ class TreeBall:
             if e.id == edge_id:
                 return pos
         raise KeyError(f"unknown edge id {edge_id!r}")
-
-    def children_lists(self) -> list[list[int]]:
-        kids: list[list[int]] = [[] for _ in range(self.size)]
-        parent = self.parent
-        for i in range(1, self.size):
-            kids[int(parent[i])].append(i)
-        return kids
 
 
 @dataclass(eq=False)
@@ -217,25 +175,6 @@ class CoverageReport:
         return self.covered_fraction == 1
 
 
-@dataclass(frozen=True)
-class DirectedLiftingRow:
-    """One label class scored by directed lifting.
-
-    ``u`` is the label distance from the anchor (the iota endpoint of the
-    scored edge); ``depth`` is the least distance into the halfspace at which
-    some member label comes within R, or None if none does.
-    """
-
-    label_index: int
-    u: float
-    vertex_count: int
-    depth: Optional[int]
-
-    @property
-    def reached(self) -> bool:
-        return self.depth is not None
-
-
 def _vertex_descriptors(g: GraphOfGroups):
     """Crossing data per graph vertex.
 
@@ -270,40 +209,71 @@ def _vertex_descriptors(g: GraphOfGroups):
     return descs, crossings
 
 
-def projected_ball_sizes(g: GraphOfGroups, base: str, radius: int
-                         ) -> list[int]:
-    """Exact cumulative tree-ball sizes, by counting vertex types only.
+class _LabelTable:
+    """Interned holonomy labels.
 
-    Entry r is the number of tree vertices within distance r of the coset
-    of ``base``.  States are (vertex type, descriptor of the edge-end that
-    leads back to the parent); expanding a state spends one coset slot on
-    the backtrack and branches across every other slot.  This predicts the
-    exact size of build_ball's vertex set without materializing labels.
+    ``child(lid, cid)`` is the id of labels[lid] @ crossings[cid]; each
+    distinct (label, crossing) pair costs one exact matrix product.
     """
+
+    def __init__(self, rank: int, crossings: list[RatMatrix]):
+        identity = RatMatrix.identity(rank)
+        self.labels: list[RatMatrix] = [identity]
+        self._lookup: dict[RatMatrix, int] = {identity: 0}
+        self._memo: dict[tuple[int, int], int] = {}
+        self._crossings = crossings
+
+    def child(self, lid: int, cid: int) -> int:
+        clid = self._memo.get((lid, cid))
+        if clid is None:
+            m = self.labels[lid] @ self._crossings[cid]
+            clid = self._lookup.setdefault(m, len(self.labels))
+            if clid == len(self.labels):
+                self.labels.append(m)
+            self._memo[(lid, cid)] = clid
+        return clid
+
+
+def _next_sphere(descs, sphere: dict, child_label) -> dict:
+    """Vertex counts of the next sphere, keyed by state.
+
+    A state is (vertex type, edge position, forward flag, label id) of the
+    edge-end a vertex arrived by.  A vertex branches across every coset of
+    each incident edge-end, less the one slot that reverses its arrival (the
+    backtrack).  Keys are inserted in the order ``build_ball`` first meets
+    each state; ``child_label(lid, cid)`` labels the children.
+    """
+    nxt: dict = {}
+    for (vt, ipos, ifwd, lid), c in sphere.items():
+        for pos, fwd, count, ctype, cid in descs[vt]:
+            branches = count - (pos == ipos and fwd != ifwd)
+            if branches > 0:
+                key = (ctype, pos, fwd, child_label(lid, cid))
+                nxt[key] = nxt.get(key, 0) + c * branches
+    return nxt
+
+
+def _root_state(g: GraphOfGroups, base: str) -> tuple[int, int, int, int]:
     if base not in g.vertices:
         raise KeyError(f"unknown vertex id {base!r}")
-    incid: dict = {v: [] for v in g.vertices}
-    for e in g.edges:
-        fwd = abs(e.incl_iota.determinant())
-        bwd = abs(e.incl_tau.determinant())
-        incid[e.iota].append((e.id, True, int(fwd), e.tau))
-        incid[e.tau].append((e.id, False, int(bwd), e.iota))
+    return (g.vertices.index(base), -1, 0, 0)
 
+
+def projected_ball_sizes(g: GraphOfGroups, base: str, radius: int
+                         ) -> list[int]:
+    """Exact cumulative tree-ball sizes, by counting vertex states only.
+
+    Entry r is the number of tree vertices within distance r of the coset
+    of ``base``.  Labels are left out of the states (all read 0), so this
+    predicts the exact size of build_ball's vertex set without computing a
+    single holonomy label.
+    """
+    sphere = {_root_state(g, base): 1}
+    descs, _ = _vertex_descriptors(g)
     sizes = [1]
-    level: dict = {(base, None): 1}
-    total = 1
     for _ in range(radius):
-        nxt: dict = {}
-        for (v, arrival), c in level.items():
-            for (eid, forward, count, w) in incid[v]:
-                branches = count - (1 if arrival == (eid, forward) else 0)
-                if branches <= 0:
-                    continue
-                key = (w, (eid, not forward))
-                nxt[key] = nxt.get(key, 0) + c * branches
-        level = nxt
-        total += sum(level.values())
-        sizes.append(total)
+        sphere = _next_sphere(descs, sphere, lambda lid, cid: 0)
+        sizes.append(sizes[-1] + sum(sphere.values()))
     return sizes
 
 
@@ -316,8 +286,7 @@ def build_ball(g: GraphOfGroups, base: str, radius: int,
     reversed is the incoming edge (the backtrack).  Vertex order, and hence
     every downstream report, is deterministic.
     """
-    if base not in g.vertices:
-        raise KeyError(f"unknown vertex id {base!r}")
+    base_idx = _root_state(g, base)[0]
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     cap_value = resolve_vertex_cap(cap)
@@ -325,7 +294,6 @@ def build_ball(g: GraphOfGroups, base: str, radius: int,
         raise BallTooLarge(cap_value)
 
     descs, crossings = _vertex_descriptors(g)
-    base_idx = g.vertices.index(base)
 
     vtype = array("i", [base_idx])
     parent = array("i", [-1])
@@ -334,10 +302,8 @@ def build_ball(g: GraphOfGroups, base: str, radius: int,
     via_coset = array("i", [-1])
     label_ids = array("i", [0])
 
-    identity = RatMatrix.identity(g.rank)
-    labels: list[RatMatrix] = [identity]
-    label_lookup: dict[RatMatrix, int] = {identity: 0}
-    memo: dict[tuple[int, int], int] = {}
+    table = _LabelTable(g.rank, crossings)
+    child_label = table.child
 
     sphere_offsets = [0, 1]
     vt_append = vtype.append
@@ -357,16 +323,7 @@ def build_ball(g: GraphOfGroups, base: str, radius: int,
                 first = 1 if (pos == ipos and fwd != ifwd) else 0
                 if count <= first:
                     continue
-                key = (lid, cid)
-                clid = memo.get(key)
-                if clid is None:
-                    m = labels[lid] @ crossings[cid]
-                    clid = label_lookup.get(m)
-                    if clid is None:
-                        clid = len(labels)
-                        labels.append(m)
-                        label_lookup[m] = clid
-                    memo[key] = clid
+                clid = child_label(lid, cid)
                 for c in range(first, count):
                     pa_append(i)
                     vt_append(ctype)
@@ -392,7 +349,7 @@ def build_ball(g: GraphOfGroups, base: str, radius: int,
         via_coset=np.asarray(via_coset, dtype=np.int32),
         label_ids=np.asarray(label_ids, dtype=np.int32),
         depth=depth,
-        labels=tuple(labels),
+        labels=tuple(table.labels),
         sphere_offsets=tuple(sphere_offsets),
     )
 
@@ -492,87 +449,72 @@ def carries_holonomy(ball: TreeBall, h: Halfspace, R: float,
     )
 
 
-def directed_lifting_score(ball: TreeBall, e: int, R: float
-                           ) -> list[DirectedLiftingRow]:
-    """Table of (label distance u, least depth into the forward halfspace).
+def _state_coverage(g: GraphOfGroups, base: str, radius: int, R: float,
+                    interior_margin: int):
+    """Both halfspace reports of one representative tree edge per graph edge.
 
-    The edge ``e`` is read in its crossing direction: the anchor is its iota
-    endpoint's label and the halfspace is the tau side.  For each distinct
-    ball label g the row reports u = gl_distance(g, anchor) and the least
-    distance into the halfspace at which some member label lies within R of
-    g, or None when the ball sees no such member.
+    Same result as ``build_ball`` -> ``first_tree_edge`` -> ``halfspace`` ->
+    ``carries_holonomy``, computed from per-depth counts of vertex states
+    (vertex type, edge position, forward flag, label id) instead of
+    vertices.  Each sphere is a dict state -> vertex count whose insertion
+    order is the order in which ``build_ball`` first meets each state, so
+    label ids and representative edges come out identical.
+
+    Returns a list of (edge id, (iota-side report, tau-side report)) in
+    edge-id order; the pair is None when no tree edge of the ball crosses
+    that graph edge.
     """
-    if not isinstance(e, (int, np.integer)) or not 1 <= int(e) < ball.size:
-        raise EdgeNotInBall(e)
-    e = int(e)
-    parent = int(ball.parent[e])
-    fwd = bool(ball.via_forward[e])
-    anchor_vertex = parent if fwd else e
-    near_vertex = e if fwd else parent
+    root = _root_state(g, base)
+    descs, crossings = _vertex_descriptors(g)
+    table = _LabelTable(g.rank, crossings)
+    labels = table.labels
 
-    h = halfspace(ball, e, TAU_SIDE)
-    dist_into = _bfs_distance_within(ball, near_vertex, h.mask)
+    def grow(state, steps: int) -> list[dict]:
+        """Spheres 0..steps of the subtree below one vertex in ``state``."""
+        spheres = [{state: 1}]
+        for _ in range(steps):
+            spheres.append(_next_sphere(descs, spheres[-1], table.child))
+        return spheres
 
-    hs_label_ids = np.unique(ball.label_ids[h.members])
-    min_depth = np.full(hs_label_ids.shape[0], np.iinfo(np.int64).max,
-                        dtype=np.int64)
-    pos_of = {int(j): k for k, j in enumerate(hs_label_ids)}
-    member_labels = ball.label_ids[h.members]
-    member_depths = dist_into[h.members]
-    np.minimum.at(
-        min_depth,
-        np.fromiter((pos_of[int(j)] for j in member_labels),
-                    count=member_labels.shape[0], dtype=np.int64),
-        member_depths,
-    )
+    def label_counts(spheres) -> Counter:
+        out: Counter = Counter()
+        for sphere in spheres:
+            for (_, _, _, lid), c in sphere.items():
+                out[lid] += c
+        return out
 
-    hs_labels = [ball.labels[int(j)] for j in hs_label_ids]
-    table = _distance_table(list(ball.labels), hs_labels)
-    within = table <= R + DISTANCE_TOL
+    spheres = grow(root, radius)
+    whole = label_counts(spheres)
+    margin = max(0, int(interior_margin))
+    targets = label_counts(spheres[:max(0, radius - margin) + 1])
+    total = sum(targets.values())
 
-    anchor_label = ball.holonomy_label(anchor_vertex)
-    u_vals = _distance_table(list(ball.labels), [anchor_label])[:, 0]
-    counts = np.bincount(ball.label_ids, minlength=len(ball.labels))
+    def score(present) -> CoverageReport:
+        hs_labels = [labels[j] for j in sorted(present)]
+        dist = _distance_table(labels, hs_labels).min(axis=1)
+        covered = sum(c for lid, c in targets.items()
+                      if dist[lid] <= R + DISTANCE_TOL)
+        return CoverageReport(
+            radius_R=float(R),
+            covered_fraction=Fraction(covered, total),
+            worst_gap=float(max(dist[lid] for lid in targets)),
+            depth=radius,
+            interior_margin=margin,
+        )
 
     rows = []
-    for lid in range(len(ball.labels)):
-        hit = within[lid]
-        if hit.any():
-            depth = int(min_depth[hit].min())
-        else:
-            depth = None
-        rows.append(DirectedLiftingRow(
-            label_index=lid,
-            u=float(u_vals[lid]),
-            vertex_count=int(counts[lid]),
-            depth=depth,
-        ))
-    rows.sort(key=lambda row: (row.u, row.label_index))
+    for pos in sorted(range(len(g.edges)), key=lambda p: g.edges[p].id):
+        rep = next(((d, state) for fwd in (1, 0)
+                    for d, sphere in enumerate(spheres) for state in sphere
+                    if state[1] == pos and state[2] == fwd), None)
+        if rep is None:
+            rows.append((g.edges[pos].id, None))
+            continue
+        d, state = rep
+        sub = label_counts(grow(state, radius - d))
+        inside = score(sub)
+        outside = score(lid for lid, c in whole.items() if c > sub[lid])
+        # a tree edge crossed iota to tau has its subtree on the tau side
+        pair = (outside, inside) if state[2] else (inside, outside)
+        rows.append((g.edges[pos].id, pair))
     return rows
-
-
-def _bfs_distance_within(ball: TreeBall, start: int, mask: np.ndarray
-                         ) -> np.ndarray:
-    """Tree distance from ``start`` to every vertex inside ``mask`` (-1 outside)."""
-    dist = np.full(ball.size, -1, dtype=np.int64)
-    if not mask[start]:
-        return dist
-    kids = ball.children_lists()
-    parent = ball.parent
-    dist[start] = 0
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            p = int(parent[v])
-            if p >= 0 and mask[p] and dist[p] < 0:
-                dist[p] = d
-                nxt.append(p)
-            for c in kids[v]:
-                if mask[c] and dist[c] < 0:
-                    dist[c] = d
-                    nxt.append(c)
-        frontier = nxt
-    return dist

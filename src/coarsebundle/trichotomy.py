@@ -3,9 +3,10 @@ lattice groups, and the resulting quasi-isometry comparison.
 
 The verdict pipeline is certificate-first: finite holonomy image, strict
 ascending HNN shape, and discrete free holonomy are all decided exactly.
-Only when no certificate applies does the classifier grow a finite tree
-ball and read coverage evidence off halfspace label sets, with an honest
-Undetermined outcome when that evidence conflicts or stays one-sided.
+Only when no certificate applies does the classifier count a finite tree
+ball by vertex state and read coverage evidence off halfspace label sets,
+with an honest Undetermined outcome when that evidence conflicts or stays
+one-sided.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bass_serre import (IOTA_SIDE, TAU_SIDE, CoverageReport, build_ball,
-                         carries_holonomy, halfspace, projected_ball_sizes,
+from .bass_serre import (CoverageReport, _state_coverage, projected_ball_sizes,
                          resolve_vertex_cap)
 from .core_algebra import RatMatrix, gl_distance
 from .errors import BallTooLarge, RankUnsupported
@@ -113,8 +113,9 @@ def classify(g: GraphOfGroups, depth: int = DEFAULT_DEPTH,
     (c) holonomy generators that are integral, unimodular, pairwise distinct
         and certified free by ping-pong generate a discrete free group of
         the expected rank, giving Proper.
-    (d) otherwise grow a tree ball to the given depth and test both
-        halfspaces of one representative tree edge per graph edge.  All
+    (d) otherwise count the tree ball of the given depth by vertex state
+        (no vertex is materialized) and test both halfspaces of one
+        representative tree edge per graph edge.  All
         representatives covered on both sides is Folded evidence; coverage
         on exactly one side everywhere is parabolic-shaped evidence which
         only rule (b) could confirm, so it stays Undetermined; a
@@ -175,7 +176,6 @@ def classify(g: GraphOfGroups, depth: int = DEFAULT_DEPTH,
                 rule="ball-coverage", depth=depth_used,
                 note="vertex cap forces a ball too shallow for coverage "
                      "evidence; raise the cap or lower the depth"))
-    ball = build_ball(g, base, depth_used, cap=cap)
     identity = RatMatrix.identity(n)
     r_used = radius_r
     if r_used is None:
@@ -184,24 +184,15 @@ def classify(g: GraphOfGroups, depth: int = DEFAULT_DEPTH,
         r_used = 1.0
 
     rows: list[EdgeCoverage] = []
-    for edge in sorted(g.edges, key=lambda e: e.id):
-        rep = ball.first_tree_edge(edge.id, True)
-        if rep is None:
-            rep = ball.first_tree_edge(edge.id, False)
-        if rep is None:
+    for edge_id, sides in _state_coverage(g, base, depth_used, r_used,
+                                          interior_margin=INTERIOR_MARGIN):
+        if sides is None:
             return TrichotomyVerdict(
                 kind=KIND_UNDETERMINED, rank=n,
                 evidence=TrichotomyEvidence(
                     rule="ball-coverage", depth=depth_used, radius_r=r_used,
-                    note=f"edge {edge.id} has no representative in the ball"))
-        rows.append(EdgeCoverage(
-            edge_id=edge.id,
-            iota_side=carries_holonomy(
-                ball, halfspace(ball, rep, IOTA_SIDE), r_used,
-                interior_margin=INTERIOR_MARGIN),
-            tau_side=carries_holonomy(
-                ball, halfspace(ball, rep, TAU_SIDE), r_used,
-                interior_margin=INTERIOR_MARGIN)))
+                    note=f"edge {edge_id} has no representative in the ball"))
+        rows.append(EdgeCoverage(edge_id, *sides))
 
     counts = {row.covered_sides for row in rows}
     evidence = TrichotomyEvidence(rule="ball-coverage", depth=depth_used,

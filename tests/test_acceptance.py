@@ -1,7 +1,8 @@
 """End-to-end acceptance checks, one test per numbered criterion.
 
-Each test is self-contained, seeds its own randomness, asserts the exact
-values or tolerances it needs, and enforces its own wall-clock budget.
+Each test seeds its own randomness (test 10 takes its seeded corpus from
+the ``trichotomy_corpus`` fixture in conftest.py), asserts the exact values
+or tolerances it needs, and enforces its own wall-clock budget.
 """
 
 import math
@@ -38,7 +39,6 @@ from coarsebundle import (
     orbit_reduce,
     phi_example_spec,
     primitive,
-    semidirect,
 )
 from coarsebundle.linf_cohomology import Cochain1
 
@@ -416,37 +416,6 @@ def test_acceptance_09_seminorm_convergence():
 # 10. Trichotomy exclusivity and stability on a random corpus
 
 
-def _random_gog(rng):
-    kind = rng.randrange(3)
-    if kind == 0:
-        return bs(rng.randint(1, 6), rng.randint(1, 6))
-    if kind == 1:
-        word = IntMatrix.identity(2)
-        for _ in range(rng.randint(1, 4)):
-            a = rng.randint(-2, 2)
-            elem = ([[1, a], [0, 1]] if rng.random() < 0.5
-                    else [[1, 0], [a, 1]])
-            word = word @ IntMatrix(elem)
-        return semidirect(2, [word])
-    n_vertices = rng.randint(1, 3)
-    vertices = tuple(f"v{i}" for i in range(n_vertices))
-    edges = []
-    for i in range(1, n_vertices):
-        edges.append(Edge(
-            f"path{i}", vertices[rng.randrange(i)], vertices[i],
-            IntMatrix([[rng.randint(1, 3)]]),
-            IntMatrix([[rng.randint(1, 3)]])))
-    for j in range(rng.randint(0, 2)):
-        edges.append(Edge(
-            f"extra{j}", rng.choice(vertices), rng.choice(vertices),
-            IntMatrix([[rng.randint(1, 3)]]),
-            IntMatrix([[rng.randint(1, 3)]])))
-    if not edges:
-        edges.append(Edge("loop", vertices[0], vertices[0],
-                          IntMatrix([[1]]), IntMatrix([[1]])))
-    return GraphOfGroups(rank=1, vertices=vertices, edges=tuple(edges))
-
-
 def _relabel(g):
     mapping = {v: f"w_{v}" for v in g.vertices}
     edges = tuple(
@@ -458,9 +427,8 @@ def _relabel(g):
                          edges=edges)
 
 
-def test_acceptance_10_trichotomy_properties():
-    rng = random.Random(20260814)
-    corpus = [_random_gog(rng) for _ in range(50)]
+def test_acceptance_10_trichotomy_properties(trichotomy_corpus):
+    corpus = trichotomy_corpus
     cap = 200_000
     kinds = {"Parabolic", "Folded", "Proper", "Undetermined"}
     for i, g in enumerate(corpus):

@@ -2,10 +2,15 @@
 
 import pytest
 
-from coarsebundle.core_algebra import IntMatrix
+from coarsebundle.bass_serre import (IOTA_SIDE, TAU_SIDE, _state_coverage,
+                                     build_ball, carries_holonomy, halfspace,
+                                     projected_ball_sizes, resolve_vertex_cap)
+from coarsebundle.core_algebra import IntMatrix, RatMatrix, gl_distance
 from coarsebundle.errors import BallTooLarge
-from coarsebundle.graph_of_groups import Edge, GraphOfGroups, bs, semidirect
-from coarsebundle.trichotomy import classify, qi_compare
+from coarsebundle.graph_of_groups import (Edge, GraphOfGroups, bs,
+                                          modular_holonomy, semidirect)
+from coarsebundle.trichotomy import (INTERIOR_MARGIN, EdgeCoverage, classify,
+                                     qi_compare)
 
 
 # ---------------------------------------------------------------------------
@@ -130,3 +135,96 @@ def test_same_kind_different_rank_is_undetermined():
     c = qi_compare(bs(2, 2), flat2)
     assert c.verdict == "Undetermined"
     assert "rank" in c.reason
+
+
+# ---------------------------------------------------------------------------
+# state-count coverage against the materialized ball
+
+
+def _resolved_depth(g, depth, cap):
+    sizes = projected_ball_sizes(g, min(g.vertices), depth)
+    cap_value = resolve_vertex_cap(cap)
+    while depth > 1 and sizes[depth] > cap_value:
+        depth -= 1
+    return depth
+
+
+def _radius_r(g):
+    identity = RatMatrix.identity(g.rank)
+    gens = modular_holonomy(g).generator_matrices()
+    r = max((gl_distance(m, identity) for m in gens), default=0.0)
+    return r if r > 0 else 1.0
+
+
+def _ball_rows(g, depth, radius_r):
+    """Rule (d) on a materialized ball: the path the state counts replace."""
+    ball = build_ball(g, min(g.vertices), depth)
+    rows = []
+    for edge in sorted(g.edges, key=lambda e: e.id):
+        rep = ball.first_tree_edge(edge.id, True)
+        if rep is None:
+            rep = ball.first_tree_edge(edge.id, False)
+        if rep is None:
+            rows.append(None)
+            continue
+        rows.append(EdgeCoverage(edge.id, *(
+            carries_holonomy(ball, halfspace(ball, rep, side), radius_r,
+                             interior_margin=INTERIOR_MARGIN)
+            for side in (IOTA_SIDE, TAU_SIDE))))
+    return rows
+
+
+def _assert_state_rows_match_ball(g, depth, cap=None):
+    used = _resolved_depth(g, depth, cap)
+    radius_r = _radius_r(g)
+    state_rows = [None if sides is None else EdgeCoverage(edge_id, *sides)
+                  for edge_id, sides in _state_coverage(
+                      g, min(g.vertices), used, radius_r,
+                      interior_margin=INTERIOR_MARGIN)]
+    expected = _ball_rows(g, used, radius_r)
+    assert state_rows == expected
+    v = classify(g, depth=depth, cap=cap)
+    if v.evidence.rule == "ball-coverage" and v.evidence.coverage:
+        assert v.evidence.depth == used
+        assert list(v.evidence.coverage) == expected
+    return expected
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5, 6])
+def test_state_coverage_matches_ball_on_bs_table(depth):
+    for m in range(1, 7):
+        for n in range(1, 7):
+            _assert_state_rows_match_ball(bs(m, n), depth)
+
+
+@pytest.mark.parametrize("depth", [6, 7])
+def test_state_coverage_matches_ball_on_acceptance_corpus(
+        depth, trichotomy_corpus):
+    for g in trichotomy_corpus:
+        _assert_state_rows_match_ball(g, depth, cap=200_000)
+
+
+def test_state_coverage_matches_ball_away_from_the_base():
+    # e1 is reached only from b, two steps out from the base a, and only
+    # backwards (its iota inclusion leaves no forward coset after the
+    # backtrack), so its representative sits at depth 2 with the subtree on
+    # the iota side; on a depth-3 ball the last edge of a long path has no
+    # representative at all
+    g = GraphOfGroups(rank=1, vertices=("a", "b", "c"), edges=(
+        Edge("e0", "a", "b", IntMatrix([[2]]), IntMatrix([[3]])),
+        Edge("e1", "c", "b", IntMatrix([[1]]), IntMatrix([[2]])),
+    ))
+    rows = _assert_state_rows_match_ball(g, 5)
+    assert all(row is not None for row in rows)
+    ball = build_ball(g, "a", 5)
+    assert ball.first_tree_edge("e1", True) is None
+    assert int(ball.depth[ball.first_tree_edge("e1", False)]) == 2
+
+    path = GraphOfGroups(rank=1, vertices=("a", "b", "c", "d", "e"), edges=(
+        Edge("p1", "a", "b", IntMatrix([[2]]), IntMatrix([[1]])),
+        Edge("p2", "b", "c", IntMatrix([[1]]), IntMatrix([[3]])),
+        Edge("p3", "c", "d", IntMatrix([[2]]), IntMatrix([[1]])),
+        Edge("p4", "d", "e", IntMatrix([[1]]), IntMatrix([[2]])),
+    ))
+    rows = _assert_state_rows_match_ball(path, 3)
+    assert rows[-1] is None and rows[0] is not None
