@@ -12,19 +12,18 @@ trusted at radii that stay clear of clipped vertices.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .bass_serre import resolve_vertex_cap
 from .core_algebra import IntMatrix
 from .errors import (NonBijectiveTabulated, SingularGenerator, SingularMatrix,
                      TooFewRadii, WindowTooLarge)
 
-DEFAULT_VERTEX_CAP = 2_000_000
 _R2_MARGIN = 0.02
 _PERFECT_FIT = 0.999
 _UNIT_CIRCLE_TOL = 1e-9
@@ -297,14 +296,14 @@ def build_total_space(spec: GluingSpec, base_window, fiber_window,
 
     Fiber edges join lattice neighbors over a fixed base vertex; gluing
     edges join (f, b) to (map(f), b') over each base edge.  A vertex is
-    clipped when a fiber neighbor or a forward image leaves the windows,
-    when the base neighborhood is truncated, or when a backward gluing
-    partner cannot be ruled out inside the window.  Tabulated maps are
-    checked for injectivity on the window (NonBijectiveTabulated) and the
-    total vertex count is capped (WindowTooLarge).
+    clipped when a fiber neighbor (on either side) or a forward image leaves
+    the windows, when the base neighborhood is truncated, or when a backward
+    gluing partner cannot be ruled out inside the window.  Tabulated maps
+    are checked for injectivity on the window (NonBijectiveTabulated) and
+    the total vertex count is capped (WindowTooLarge) by the cap that
+    `bass_serre.resolve_vertex_cap` resolves from ``cap``.
     """
-    if cap is None:
-        cap = DEFAULT_VERTEX_CAP
+    cap = resolve_vertex_cap(cap)
     base_vertices, base_edges, base_boundary = _base_graph(spec, base_window)
     fiber_points = _fiber_box(fiber_window, spec.fiber_dim)
     total = len(base_vertices) * len(fiber_points)
@@ -328,12 +327,14 @@ def build_total_space(spec: GluingSpec, base_window, fiber_window,
     fiber_edges = []
     gluing_edges = []
 
+    flo, fhi = _window_interval(fiber_window)
     unit = [tuple(1 if j == i else 0 for j in range(spec.fiber_dim))
             for i in range(spec.fiber_dim)]
+    # a point on either face of the fiber box misses a lattice neighbor
+    on_face = [f for f in fiber_points if flo in f or fhi in f]
     for b in base_vertices:
-        if b in base_boundary:
-            for f in fiber_points:
-                clipped.add((f, b))
+        rim = fiber_points if b in base_boundary else on_face
+        clipped.update((f, b) for f in rim)
         for f in fiber_points:
             for e_i in unit:
                 g = tuple(x + d for x, d in zip(f, e_i))
@@ -341,11 +342,8 @@ def build_total_space(spec: GluingSpec, base_window, fiber_window,
                     adjacency[(f, b)].append((g, b))
                     adjacency[(g, b)].append((f, b))
                     fiber_edges.append(((f, b), (g, b)))
-                else:
-                    clipped.add((f, b))
 
     fiber_arr = np.array(fiber_points, dtype=np.int64)
-    flo, fhi = _window_interval(fiber_window)
     for (b, b2) in base_edges:
         gmap = spec.map_for((b, b2))
         if not isinstance(gmap, Tabulated):

@@ -8,8 +8,9 @@ text line; growth emits CSV.  Exit codes: 0 decided, 2 undetermined,
 1 error.
 
 Rationals serialize as strings like "3/2"; matrices as row-major arrays.
-The environment variable COARSEBUNDLE_VERTEX_CAP overrides the vertex cap
-of bundle builds at invocation time.
+Vertex caps are the library's own: bass_serre.resolve_vertex_cap reads
+COARSEBUNDLE_VERTEX_CAP for bundle windows and tree balls alike, so the
+variable bounds every build a subcommand makes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Any, Optional
@@ -25,9 +25,9 @@ from typing import Any, Optional
 import numpy as np
 
 from . import graph_of_groups, linf_cohomology, trichotomy
-from .bundle_lab import (Affine, FiniteBase, GluingSpec, Linear, Tabulated,
-                         Translation, ball_growth, build_total_space,
-                         growth_class, phi_example_spec)
+from .bundle_lab import (Affine, FiniteBase, GluingSpec, Linear, Translation,
+                         ball_growth, build_total_space, growth_class,
+                         phi_example_spec)
 from .core_algebra import IntMatrix, RatMatrix
 from .errors import CoarseBundleError, PositiveCycle, TooFewRadii
 from .linf_cohomology import (BaseComplex, Cochain1, Cochain2, d1,
@@ -365,11 +365,6 @@ def cmd_cocycle(args, argv: list[str]) -> int:
                  text, code)
 
 
-def _vertex_cap() -> Optional[int]:
-    raw = os.environ.get("COARSEBUNDLE_VERTEX_CAP")
-    return int(raw) if raw else None
-
-
 def cmd_bundle(args, argv: list[str]) -> int:
     spec = _load_gluing_spec(_load_json(args.spec_file))
     base_window = _parse_window(args.base_window)
@@ -377,7 +372,7 @@ def cmd_bundle(args, argv: list[str]) -> int:
     origin_f = tuple(int(x) for x in args.origin_fiber.split(","))
     origin_b = _parse_base_vertex(args.origin_base)
     ball = build_total_space(spec, base_window, fiber_window,
-                             (origin_f, origin_b), cap=_vertex_cap())
+                             (origin_f, origin_b))
     max_degree = max(ball.degree(v) for v in ball.adjacency)
     summary = {"vertices": ball.size, "clipped": len(ball.clipped),
                "fiber_edges": len(ball.fiber_edges),

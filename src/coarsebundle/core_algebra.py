@@ -1,22 +1,20 @@
 """Exact matrix algebra over Q plus the float-only symmetric-space helpers.
 
-Exact paths (determinants, inverses, Hermite form, word evaluation) run on
-`fractions.Fraction` and never touch floats.  The two float operations,
-`gl_distance` and `eigen_split`, are numerical by nature and say so.
+Exact paths (determinants, inverses, Hermite form, word evaluation and the
+word ball of a generating set) run on `fractions.Fraction` and never touch
+floats.  The one float operation, `gl_distance`, is numerical by nature and
+says so.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import RankMismatch, SingularMatrix
-
-QQ = Fraction
 
 
 def _as_fraction(x) -> Fraction:
@@ -317,6 +315,35 @@ def evaluate_word(word: Iterable[Letter], gens: Sequence[RatMatrix]) -> RatMatri
     return out
 
 
+def word_ball(gens: Sequence[RatMatrix], depth: Optional[int] = None
+              ) -> Iterator[RatMatrix]:
+    """Distinct products of the generators, breadth-first.
+
+    The identity comes first, then the new products of each length in turn:
+    every element of the previous sphere, in the order it was found, times
+    each generator in the given order.  Products of length at most ``depth``
+    are yielded, or the whole generated semigroup when ``depth`` is None
+    (which ends only when it is finite).  Callers bound the work with
+    ``itertools.islice``; the enumeration is lazy.
+    """
+    identity = RatMatrix.identity(gens[0].n)
+    seen = {identity}
+    yield identity
+    frontier = [identity]
+    length = 0
+    while frontier and (depth is None or length < depth):
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                p = m @ g
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+                    yield p
+        frontier = nxt
+        length += 1
+
+
 def word_inverse(word: Sequence[Letter]) -> tuple[Letter, ...]:
     return tuple((i, -e) for i, e in reversed(word))
 
@@ -359,73 +386,3 @@ def gl_distance(a: RatMatrix, b: RatMatrix) -> float:
     rel = (a.inverse() @ b).to_float()
     logs = log_singular_values(rel)
     return float(math.sqrt(float(np.sum(logs * logs))))
-
-
-@dataclass(frozen=True)
-class EigenSplit:
-    """Real spectral summary of a matrix relative to the unit circle.
-
-    Basis columns for complex pairs are (Re v, Im v); dimension counts are by
-    algebraic multiplicity, so they always sum to n (defective matrices may
-    repeat directions, which callers that care about Jordan structure handle
-    themselves).
-    """
-
-    expanding: np.ndarray
-    neutral: np.ndarray
-    contracting: np.ndarray
-    expanding_eigenvalues: tuple
-    neutral_eigenvalues: tuple
-    contracting_eigenvalues: tuple
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.expanding.shape[1], self.neutral.shape[1], self.contracting.shape[1])
-
-
-def eigen_split(m: RatMatrix | np.ndarray, tol: float = 1e-9) -> EigenSplit:
-    """Split R^n into expanding / neutral / contracting directions of m.
-
-    Eigenvalues with |lambda| > 1 + tol are expanding, |lambda| < 1 - tol
-    contracting, the band in between neutral.  Complex conjugate pairs are
-    merged into real 2-planes.
-    """
-    a = m.to_float() if isinstance(m, RatMatrix) else np.asarray(m, dtype=float)
-    n = a.shape[0]
-    vals, vecs = np.linalg.eig(a)
-    buckets = {"exp": ([], []), "neu": ([], []), "con": ([], [])}
-    used = np.zeros(len(vals), dtype=bool)
-    order = sorted(range(len(vals)), key=lambda i: (-abs(vals[i]), vals[i].real))
-    for i in order:
-        if used[i]:
-            continue
-        used[i] = True
-        lam = vals[i]
-        mag = abs(lam)
-        key = "exp" if mag > 1 + tol else ("con" if mag < 1 - tol else "neu")
-        cols, lams = buckets[key]
-        if abs(lam.imag) > tol:
-            # pick up the conjugate partner and emit a real 2-plane
-            j = next(
-                k for k in range(len(vals))
-                if not used[k] and abs(vals[k] - lam.conjugate()) < 1e-6 * max(1.0, mag)
-            )
-            used[j] = True
-            v = vecs[:, i]
-            cols.append(np.real(v))
-            cols.append(np.imag(v))
-            lams.append(complex(lam))
-            lams.append(complex(lam.conjugate()))
-        else:
-            cols.append(np.real(vecs[:, i]))
-            lams.append(float(lam.real))
-
-    def pack(key):
-        cols, lams = buckets[key]
-        mat = np.column_stack(cols) if cols else np.zeros((n, 0))
-        return mat, tuple(lams)
-
-    e, ev = pack("exp")
-    u, uv = pack("neu")
-    c, cv = pack("con")
-    return EigenSplit(e, u, c, ev, uv, cv)

@@ -10,7 +10,7 @@ GL_n(Q) is the modular holonomy computed below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .core_algebra import IntMatrix, RatMatrix

@@ -251,9 +251,6 @@ class ScanRow:
     max_abs: object  # Fraction in exact mode, float otherwise
     ratio: object
 
-    def ratio_float(self) -> float:
-        return float(self.ratio)
-
 
 @dataclass(frozen=True)
 class ScanTable:
@@ -270,12 +267,6 @@ class ScanTable:
         if best is None:
             return Fraction(0) if self.exact else 0.0
         return best
-
-    def row_for_length(self, length: int) -> Optional[ScanRow]:
-        for row in self.rows:
-            if row.length == length:
-                return row
-        return None
 
 
 def _loop_value(a: Cochain1, loop: Sequence[OrientedEdge], k: int):

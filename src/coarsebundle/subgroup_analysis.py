@@ -20,14 +20,16 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core_algebra import IntMatrix, Letter, RatMatrix
+from .core_algebra import IntMatrix, Letter, RatMatrix, word_ball
 from .errors import DimensionTooSmall, NotInLattice, ZeroValue
 
 TODD_COXETER_BUDGET = 100_000
+_FORM_CLOSURE_CAP = 256
 _HALF = Fraction(1, 2)
 
 
@@ -67,12 +69,6 @@ class Gl1Class:
     kind: str  # Trivial | Discrete | Dense
     generator: Optional[Fraction] = None
     exponent_vector: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def log_generator(self) -> Optional[float]:
-        if self.generator is None:
-            return None
-        return math.log(self.generator)
 
 
 def hausdorff_class_gl1(values: Sequence) -> Gl1Class:
@@ -145,22 +141,6 @@ class Gl2Subgroup:
             if g.determinant() == 0:
                 raise ValueError("generators must be invertible")
         object.__setattr__(self, "generators", gens)
-
-
-def split_det(group: Gl2Subgroup) -> tuple[list[np.ndarray], list[Fraction]]:
-    """Factor each generator as |det|^(1/2) times a norm-one part.
-
-    The norm-one parts are numeric (the square root is irrational in
-    general); the determinant values stay exact so the scalar direction can
-    be classified with hausdorff_class_gl1.
-    """
-    normalized: list[np.ndarray] = []
-    dets: list[Fraction] = []
-    for g in group.generators:
-        d = abs(g.determinant())
-        dets.append(d)
-        normalized.append(g.to_float() / math.sqrt(float(d)))
-    return normalized, dets
 
 
 def _is_scalar(g: RatMatrix) -> bool:
@@ -262,24 +242,8 @@ def invariant_positive_form(gens: Sequence[RatMatrix]) -> Optional[RatMatrix]:
         return RatMatrix.identity(originals[0].n if originals else 2)
     n = gens[0].n
 
-    closure: dict[RatMatrix, None] = {RatMatrix.identity(n): None}
-    frontier = [RatMatrix.identity(n)]
-    overflow = False
-    while frontier and not overflow:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = m @ g
-                if p not in closure:
-                    closure[p] = None
-                    nxt.append(p)
-                    if len(closure) > 256:
-                        overflow = True
-                        break
-            if overflow:
-                break
-        frontier = nxt
-    if not overflow:
+    closure = list(islice(word_ball(gens), _FORM_CLOSURE_CAP + 1))
+    if len(closure) <= _FORM_CLOSURE_CAP:
         total = None
         for m in closure:
             term = m.transpose() @ m
@@ -377,23 +341,10 @@ def _translation_length(character: Fraction) -> float:
 def _infinite_order_pilot(gens: Sequence[RatMatrix], depth: int
                           ) -> Optional[RatMatrix]:
     """Short product with tr^2/det >= 4 (and not scalar), squared if det < 0."""
-    seen: dict[RatMatrix, None] = {}
-    frontier = [RatMatrix.identity(gens[0].n)]
-    for _ in range(depth):
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = m @ g
-                if p in seen:
-                    continue
-                seen[p] = None
-                nxt.append(p)
-                cand = p if p.determinant() > 0 else p @ p
-                if _is_scalar(cand):
-                    continue
-                if _projective_character(cand) >= 4:
-                    return cand
-        frontier = nxt
+    for p in word_ball(gens, depth):
+        cand = p if p.determinant() > 0 else p @ p
+        if not _is_scalar(cand) and _projective_character(cand) >= 4:
+            return cand
     return None
 
 
@@ -932,14 +883,10 @@ class Sl2Part:
 
     kind is one of Trivial, EllipticBounded, ParabolicElementary,
     HyperbolicElementary, Lattice, NonElementaryCantor, FullGroup, Unknown.
-    A cofinite non-arithmetic lattice cannot arise from rational matrices;
-    the marker string exists so callers can represent that case distinctly
-    rather than conflate it with a finite modular index.
     """
 
     kind: str
     index: Optional[int] = None
-    index_marker: str = ""
     translation_length: Optional[float] = None
     certificate_hash: Optional[str] = None
 
@@ -1141,19 +1088,9 @@ def hausdorff_equivalent(g1: Gl2Subgroup, g2: Gl2Subgroup,
 def _conjugates_into(g1: Gl2Subgroup, g2: Gl2Subgroup,
                      conjugator: RatMatrix, depth: int) -> bool:
     inv = conjugator.inverse()
-    words: dict[RatMatrix, None] = {RatMatrix.identity(2): None}
-    frontier = [RatMatrix.identity(2)]
     mats = list(g2.generators) + [g.inverse() for g in g2.generators]
-    for _ in range(depth):
-        nxt = []
-        for m in frontier:
-            for g in mats:
-                p = m @ g
-                if p not in words:
-                    words[p] = None
-                    nxt.append(p)
-        frontier = nxt
-    return all(conjugator @ a @ inv in words for a in g1.generators)
+    ball = set(word_ball(mats, depth))
+    return all(conjugator @ a @ inv in ball for a in g1.generators)
 
 
 # ---------------------------------------------------------------------------

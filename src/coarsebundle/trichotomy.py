@@ -12,11 +12,12 @@ one-sided.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .bass_serre import (CoverageReport, _state_coverage, projected_ball_sizes,
                          resolve_vertex_cap)
-from .core_algebra import RatMatrix, gl_distance
+from .core_algebra import RatMatrix, gl_distance, word_ball
 from .errors import BallTooLarge, RankUnsupported
 from .graph_of_groups import (AscendingHnnForm, GraphOfGroups,
                               detect_ascending_hnn, modular_holonomy)
@@ -76,21 +77,8 @@ def _finite_image(gens: list[RatMatrix]) -> bool:
     and rational 2x2 groups that are infinite blow past the cap quickly, so a
     small cap decides the dichotomy for the ranks where it is used.
     """
-    n = gens[0].n
-    closure: dict[RatMatrix, None] = {RatMatrix.identity(n): None}
-    frontier = [RatMatrix.identity(n)]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = m @ g
-                if p not in closure:
-                    if len(closure) >= _FINITE_CLOSURE_CAP:
-                        return False
-                    closure[p] = None
-                    nxt.append(p)
-        frontier = nxt
-    return True
+    ball = islice(word_ball(gens), _FINITE_CLOSURE_CAP + 1)
+    return sum(1 for _ in ball) <= _FINITE_CLOSURE_CAP
 
 
 def _holonomy_generators(g: GraphOfGroups) -> list[RatMatrix]:

@@ -157,10 +157,27 @@ def test_clipped_origin_is_rejected():
         ball_growth(ball, 2)
 
 
+def test_points_on_either_fiber_face_are_clipped():
+    ball = build_total_space(line_spec(), 3, 3, ((0,), 0))
+    assert ball.degree(((-3,), 0)) == ball.degree(((3,), 0)) == 3
+    rim = {(f, b) for (f, b) in ball.adjacency if 3 in (abs(f[0]), abs(b))}
+    assert ball.clipped == rim
+    spec = GluingSpec(base="grid", fiber_dim=2, edge_map=Translation((0, 0)))
+    ball = build_total_space(spec, 2, 2, ((0, 0), (0, 0)))
+    # every vertex short of the model degree 4 + 4 lost a neighbor
+    assert all(v in ball.clipped for v in ball.adjacency if ball.degree(v) < 8)
+
+
 def test_window_volume_cap():
     spec = GluingSpec(base="grid", fiber_dim=1, edge_map=Translation((0,)))
     with pytest.raises(WindowTooLarge):
         build_total_space(spec, 100, 100, ((0,), (0, 0)), cap=1000)
+
+
+def test_window_cap_defaults_to_the_env_var(monkeypatch):
+    monkeypatch.setenv("COARSEBUNDLE_VERTEX_CAP", "1000")
+    with pytest.raises(WindowTooLarge, match=r"\(1000\)"):
+        build_total_space(line_spec(), 27, 27, ((0,), 0))  # 55 x 55 window
 
 
 def test_origin_outside_the_windows_is_rejected():

@@ -148,7 +148,7 @@ def test_bundle_build_summarizes_the_window(capsys, trivial_spec):
                                 "--base-window", "10",
                                 "--fiber-window", "10"])
     assert code == 0
-    assert out == "built 441 vertices (61 clipped), degree <= 4\n"
+    assert out == "built 441 vertices (80 clipped), degree <= 4\n"
 
 
 def test_bundle_grow_emits_csv_and_classification(capsys, trivial_spec):

@@ -1,11 +1,15 @@
 """Exact matrix algebra: algebraic identities as property tests."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
+from sympy.matrices.normalforms import (
+    hermite_normal_form as hermite_normal_form_sympy)
 
 from coarsebundle.core_algebra import (
     IntMatrix,
@@ -16,6 +20,7 @@ from coarsebundle.core_algebra import (
     hermite_normal_form,
     lattice_index,
     log_singular_values,
+    word_ball,
     word_inverse,
 )
 from coarsebundle.errors import SingularMatrix
@@ -75,6 +80,29 @@ def test_inverse_is_exact(a):
     assert a @ a.inverse() == ident
     assert a.inverse() @ a == ident
     assert a.pow(-2) == a.inverse() @ a.inverse()
+
+
+def to_sympy(m):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in row] for row in m.rows])
+
+
+def from_sympy(q) -> Fraction:
+    return Fraction(int(q.p), int(q.q))
+
+
+oracle_dim = st.shared(st.integers(min_value=1, max_value=4), key="oracle")
+
+
+@given(oracle_dim.flatmap(rat_matrices))
+def test_determinant_and_inverse_match_sympy(a):
+    ref = to_sympy(a)
+    assert a.determinant() == from_sympy(ref.det())
+    if a.determinant() != 0:
+        ref_inv = ref.inv()
+        assert a.inverse() == RatMatrix(
+            [[from_sympy(ref_inv[i, j]) for j in range(a.n)]
+             for i in range(a.n)])
 
 
 @given(any_dim.flatmap(rat_matrices))
@@ -171,6 +199,17 @@ def test_hermite_normal_form_contract(m):
                 assert 0 <= h.rows[r][i] < h.rows[i][i]
 
 
+@given(oracle_dim.flatmap(int_matrices))
+def test_hermite_normal_form_matches_sympy(m):
+    # sympy's form is column-style (W = A V upper triangular, rows reduced to
+    # the right of each pivot).  Reversing the coordinates of the row lattice
+    # turns it into the row form, which is unique for a nonsingular matrix.
+    assume(m.determinant() != 0)
+    w = hermite_normal_form_sympy(sympy.Matrix(m.rows)[:, ::-1].T)
+    h, _ = hermite_normal_form(m)
+    assert [list(row) for row in h.rows] == w.T[::-1, ::-1].tolist()
+
+
 # ---------------------------------------------------------------------------
 # Words
 
@@ -198,6 +237,46 @@ def test_free_reduction_preserves_value_and_is_idempotent(word):
     assert not any(reduced[i][0] == reduced[i + 1][0]
                    and reduced[i][1] == -reduced[i + 1][1]
                    for i in range(len(reduced) - 1))
+
+
+SL2_GENS = (RatMatrix([[0, -1], [1, 0]]), RatMatrix([[1, 1], [0, 1]]),
+            RatMatrix([[1, -1], [0, 1]]))
+MIXED_DET_GENS = (RatMatrix([[2, 1], [0, 1]]), RatMatrix([[0, 1], [1, 0]]))
+
+
+def brute_force_products(gens, depth):
+    out = set()
+    for k in range(depth + 1):
+        for word in itertools.product(gens, repeat=k):
+            m = RatMatrix.identity(gens[0].n)
+            for g in word:
+                m = m @ g
+            out.add(m)
+    return out
+
+
+@pytest.mark.parametrize("gens", [SL2_GENS, MIXED_DET_GENS])
+def test_word_ball_matches_all_products_breadth_first(gens):
+    ball = list(word_ball(gens, 4))
+    assert ball[:len(gens) + 1] == [RatMatrix.identity(2), *gens]
+    assert len(set(ball)) == len(ball)
+    for depth in range(5):
+        products = brute_force_products(gens, depth)
+        assert set(word_ball(gens, depth)) == products
+        # the ball of each radius is a prefix of the larger ball
+        assert set(ball[:len(products)]) == products
+
+
+@pytest.mark.parametrize("gens, order", [
+    ((RatMatrix([[0, -1], [1, 0]]),), 4),
+    ((RatMatrix([[1, -1], [1, 0]]),), 6),
+    # the hexagon's symmetries: rotation by a sixth and a reflection
+    ((RatMatrix([[1, -1], [1, 0]]), RatMatrix([[0, 1], [1, 0]])), 12),
+])
+def test_word_ball_closes_finite_groups(gens, order):
+    ball = set(word_ball(gens))
+    assert len(ball) == order
+    assert {a @ b for a in ball for b in ball} == ball
 
 
 def test_word_order_is_left_to_right():

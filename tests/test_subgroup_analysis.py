@@ -5,11 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, strategies as st
 
 from coarsebundle.core_algebra import IntMatrix, RatMatrix
 from coarsebundle.errors import DimensionTooSmall, NotInLattice
 from coarsebundle.subgroup_analysis import (
     Gl2Subgroup,
+    _rational_nullspace,
     classify_psl2z_subgroup,
     free_injectivity,
     hausdorff_class,
@@ -112,6 +115,52 @@ def test_equivalence_cantor_stays_unknown():
                    [Fraction(15, 8), Fraction(17, 8)]])
     g = Gl2Subgroup((a, b))
     assert hausdorff_equivalent(g, g).kind == "Unknown"
+
+
+def test_equivalence_verifies_a_supplied_conjugator():
+    a = RatMatrix([[4, 0], [0, Fraction(1, 4)]])
+    b = RatMatrix([[Fraction(17, 8), Fraction(15, 8)],
+                   [Fraction(15, 8), Fraction(17, 8)]])
+    # a rational rotation keeps the ping-pong arcs apart, so both groups
+    # stay Cantor-type and only the conjugator can decide
+    c = RatMatrix([[Fraction(3, 5), Fraction(-4, 5)],
+                   [Fraction(4, 5), Fraction(3, 5)]])
+    g2 = Gl2Subgroup((a, b))
+    g1 = Gl2Subgroup(tuple(c.inverse() @ x @ c for x in (a, b)))
+    assert hausdorff_class(g1).sl2_part.kind == "NonElementaryCantor"
+    v = hausdorff_equivalent(g1, g2, conjugator=c)
+    assert v.kind == "Equivalent"
+    assert v.witness == c
+    wrong = hausdorff_equivalent(g1, g2, conjugator=c @ c)
+    assert wrong.kind == "Unknown"
+    assert wrong.reason == "Cantor-type classes need a conjugator to compare"
+
+
+# ---------------------------------------------------------------------------
+# invariant forms
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda width: st.lists(st.lists(small_fractions, min_size=width,
+                                    max_size=width),
+                           min_size=1, max_size=5)))
+def test_rational_nullspace_matches_sympy(rows):
+    width = len(rows[0])
+    basis = _rational_nullspace(rows, width)
+    system = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                            for x in row] for row in rows])
+    ref = system.nullspace()
+    assert len(basis) == len(ref)
+    for vec in basis:
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+    if basis:
+        ours = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                              for x in vec] for vec in basis])
+        both = ours.col_join(sympy.Matrix.hstack(*ref).T)
+        assert ours.rank() == both.rank() == len(basis)
 
 
 # ---------------------------------------------------------------------------

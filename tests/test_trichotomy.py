@@ -9,8 +9,8 @@ from coarsebundle.core_algebra import IntMatrix, RatMatrix, gl_distance
 from coarsebundle.errors import BallTooLarge
 from coarsebundle.graph_of_groups import (Edge, GraphOfGroups, bs,
                                           modular_holonomy, semidirect)
-from coarsebundle.trichotomy import (INTERIOR_MARGIN, EdgeCoverage, classify,
-                                     qi_compare)
+from coarsebundle.trichotomy import (INTERIOR_MARGIN, EdgeCoverage,
+                                     _finite_image, classify, qi_compare)
 
 
 # ---------------------------------------------------------------------------
@@ -30,6 +30,24 @@ def test_finite_order_holonomy_is_folded():
     v = classify(semidirect(2, [rotation]))
     assert v.kind == "Folded"
     assert v.evidence.rule == "finite-image"
+
+
+def _permutation(cycle_lengths):
+    """Permutation matrix of disjoint cycles on consecutive coordinates."""
+    image, start = [], 0
+    for length in cycle_lengths:
+        image += [start + (k + 1) % length for k in range(length)]
+        start += length
+    n = len(image)
+    return RatMatrix([[int(image[i] == j) for j in range(n)] for i in range(n)])
+
+
+def test_finite_image_accepts_64_elements_and_rejects_65():
+    sign_flips = [RatMatrix.diagonal([-1 if j == i else 1 for j in range(6)])
+                  for i in range(6)]
+    assert _finite_image(sign_flips)  # (Z/2)^6 has 64 elements
+    # a 5-cycle beside a 13-cycle generates a cyclic group of order 65
+    assert not _finite_image([_permutation([5, 13])])
 
 
 def test_strict_ascent_is_parabolic_with_endomorphism():
