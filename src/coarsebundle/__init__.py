@@ -27,7 +27,7 @@ from .linf_cohomology import (BaseComplex, Cochain1, Cochain2, ScanTable,
                               coboundary_of_potential, d1, grid_complex,
                               heisenberg_cochain, is_trivial,
                               linear_bound_scan, primitive,
-                              solve_coboundary, tau_from_gluing)
+                              solve_coboundary)
 from .subgroup_analysis import (ElementaryType, EquivalenceVerdict,
                                 FreenessCertificate, Gl1Class, Gl2Subgroup,
                                 HausdorffClass, LineVerdict, PslIndexResult,
@@ -66,6 +66,5 @@ __all__ = [
     "hausdorff_equivalent", "heisenberg_cochain", "invariant_positive_form",
     "is_trivial", "linear_bound_scan", "modular_holonomy", "modular_word",
     "orbit_reduce", "phi_example_spec", "primitive", "qi_compare",
-    "rational_line_test", "semidirect", "solve_coboundary",
-    "tau_from_gluing", "to_json_dict",
+    "rational_line_test", "semidirect", "solve_coboundary", "to_json_dict",
 ]

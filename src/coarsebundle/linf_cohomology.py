@@ -11,6 +11,13 @@ Conventions: an oriented edge is a pair (u, v); cochains are antisymmetric,
 a(v, u) = -a(u, v); the coboundary of a 0-cochain f assigns f(u) - f(v) to
 (u, v), so a + df is the candidate bounded representative; the coboundary
 of a 1-cochain sums its values around each face boundary loop.
+
+Arithmetic follows the input.  A cochain whose values are ints and
+Fractions is exact, and every loop sum, scan row, potential and
+certificate derived from it is exact, at any denominator size; an absent
+edge or face reads as an exact zero.  A cochain holding floats gives float
+results through the same code, and certificates then allow 6C instead of
+4C for roundoff.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ _GROWTH_FACTOR = 1.5
 _GROWTH_RUN = 3
 _PRIMITIVE_RETRIES = 6
 _INT64_LIMIT = 1 << 60
-_MAX_SCALE_DENOMINATOR = 1 << 20
+_ZERO = Fraction(0)
 
 
 def _reverse(e: OrientedEdge) -> OrientedEdge:
@@ -91,10 +98,6 @@ class BaseComplex:
         if seen != vset:
             raise ValueError("complex is not connected")
 
-    @property
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edges)
-
 
 def grid_complex(width: int, height: int) -> BaseComplex:
     """Rectangular grid with unit square faces; vertices are (x, y) pairs."""
@@ -137,8 +140,6 @@ class Cochain1:
 
     dim: int
     values: dict = field(default_factory=dict)
-    _zero: Optional[tuple] = field(default=None, init=False, repr=False,
-                                   compare=False)
 
     def value(self, e: OrientedEdge) -> tuple:
         if e in self.values:
@@ -146,14 +147,10 @@ class Cochain1:
         r = _reverse(e)
         if r in self.values:
             return tuple(-x for x in self.values[r])
-        if self._zero is None:
-            zero = Fraction(0) if self.exact else 0.0
-            self._zero = (zero,) * self.dim
-        return self._zero
+        return (_ZERO,) * self.dim
 
     def set(self, e: OrientedEdge, vec) -> None:
         self.values[e] = _as_tuple(vec, self.dim)
-        self._zero = None
 
     @property
     def exact(self) -> bool:
@@ -163,22 +160,16 @@ class Cochain1:
     @staticmethod
     def from_map(complex_: BaseComplex, mapping: dict, dim: int = 1
                  ) -> "Cochain1":
+        edges = set(complex_.edges)
         out = Cochain1(dim=dim)
         for e, vec in mapping.items():
-            vec = _as_tuple(vec, dim)
-            if e in complex_.edge_set:
-                prior = out.values.get(e)
-                if prior is not None and prior != vec:
-                    raise ValueError(f"inconsistent orientations for {e!r}")
-                out.values[e] = vec
-            elif _reverse(e) in complex_.edge_set:
-                flipped = tuple(-x for x in vec)
-                prior = out.values.get(_reverse(e))
-                if prior is not None and prior != flipped:
-                    raise ValueError(f"inconsistent orientations for {e!r}")
-                out.values[_reverse(e)] = flipped
-            else:
-                raise ValueError(f"unknown edge {e!r}")
+            stored, vec = e, _as_tuple(vec, dim)
+            if stored not in edges:
+                stored, vec = _reverse(e), tuple(-x for x in vec)
+                if stored not in edges:
+                    raise ValueError(f"unknown edge {e!r}")
+            if out.values.setdefault(stored, vec) != vec:
+                raise ValueError(f"inconsistent orientations for {e!r}")
         return out
 
 
@@ -188,20 +179,12 @@ class Cochain2:
 
     dim: int
     values: dict = field(default_factory=dict)
-    _zero: Optional[tuple] = field(default=None, init=False, repr=False,
-                                   compare=False)
 
     def value(self, face_index: int) -> tuple:
-        if face_index in self.values:
-            return self.values[face_index]
-        if self._zero is None:
-            zero = Fraction(0) if self.exact else 0.0
-            self._zero = (zero,) * self.dim
-        return self._zero
+        return self.values.get(face_index, (_ZERO,) * self.dim)
 
     def set(self, face_index: int, vec) -> None:
         self.values[face_index] = _as_tuple(vec, self.dim)
-        self._zero = None
 
     @property
     def exact(self) -> bool:
@@ -210,25 +193,17 @@ class Cochain2:
 
 
 def d1(complex_: BaseComplex, a: Cochain1) -> Cochain2:
-    """Coboundary: sum the edge cochain around every face boundary loop."""
-    exact = a.exact
+    """Coboundary: sum the edge cochain around every face boundary loop.
+
+    Applied to a gluing's edge data this is the translational 2-cocycle:
+    fiberwise translations fail to compose around a face by exactly the
+    face value, and that class is what is_trivial tests.
+    """
     out = Cochain2(dim=a.dim)
     for i, loop in enumerate(complex_.faces):
-        total = [Fraction(0)] * a.dim if exact else [0.0] * a.dim
-        for e in loop:
-            for k, x in enumerate(a.value(e)):
-                total[k] += x
-        out.set(i, tuple(total))
+        out.values[i] = tuple(sum(column, _ZERO) for column in
+                              zip(*(a.value(e) for e in loop)))
     return out
-
-
-def tau_from_gluing(complex_: BaseComplex, gluing: Cochain1) -> Cochain2:
-    """Translational 2-cocycle of a gluing: the coboundary of its edge data.
-
-    Fiberwise translations along edges fail to compose around a face by
-    exactly this face value; the resulting class is what is_trivial tests.
-    """
-    return d1(complex_, gluing)
 
 
 def coboundary_of_potential(complex_: BaseComplex, f: dict, dim: int
@@ -260,13 +235,26 @@ class ScanTable:
 
     @property
     def max_ratio(self):
-        best = None
-        for row in self.rows:
-            if best is None or row.ratio > best:
-                best = row.ratio
-        if best is None:
-            return Fraction(0) if self.exact else 0.0
-        return best
+        return max((row.ratio for row in self.rows),
+                   default=_ZERO if self.exact else 0.0)
+
+
+def _keep_max(best: dict, length: int, value, witness) -> None:
+    """Record value and witness for a loop length unless a larger sum
+    already holds it; the first maximum found stays the witness."""
+    if length not in best or value > best[length][0]:
+        best[length] = (value, witness)
+
+
+def _scan_table(best: dict, exact: bool) -> ScanTable:
+    """Scan rows from length -> (max |loop sum|, witness loop), sorted by
+    length; ratios are exact quotients for exact sums."""
+    rows = tuple(
+        ScanRow(length=ell, max_abs=m,
+                ratio=Fraction(m, ell) if exact else m / ell)
+        for ell, (m, _) in sorted(best.items()))
+    witnesses = {ell: loop for ell, (_, loop) in best.items()}
+    return ScanTable(rows=rows, witnesses=witnesses, exact=exact)
 
 
 def _loop_value(a: Cochain1, loop: Sequence[OrientedEdge], k: int):
@@ -298,84 +286,49 @@ def _scan_grid(complex_: BaseComplex, a: Cochain1,
     The loop sum of a around a rectangle equals the sum of da over the
     enclosed cells, so 2D prefix sums cover the whole family.  Rectangles
     sharing a column span and a height line up along one shifted difference
-    of a prefix column, which numpy reduces in a single vector op.  Rational
-    data is scaled by one common denominator to exact int64 when that
-    denominator is moderate; maxima and ratios are then reported exactly.
+    of a prefix column, which numpy reduces in a single vector op.  Exact
+    data is scaled by its common denominator to integer cells: int64 while
+    no prefix sum can overflow, Python ints otherwise, so maxima and ratios
+    are exact at any size.  Float data scans float64 cells.
     """
     width, height = complex_.grid_shape
     cw, ch = width - 1, height - 1
     da = d1(complex_, a)
+    sums = [da.value(i) for i in range(len(complex_.faces))]
     exact = a.exact
-
-    den = None
     if exact:
-        den = 1
-        for i in range(len(complex_.faces)):
-            for x in da.value(i):
-                q = Fraction(x).denominator
-                den = den * q // math.gcd(den, q)
-        if den > _MAX_SCALE_DENOMINATOR:
-            den = None
+        den = math.lcm(*(Fraction(x).denominator
+                         for vec in sums for x in vec))
+        cells = np.array([[int(Fraction(x) * den) for x in vec]
+                          for vec in sums], dtype=object)
+        if np.abs(cells).max(initial=0) * cw * ch <= _INT64_LIMIT:
+            cells = cells.astype(np.int64)
+        to_value = lambda s: Fraction(int(s), den)
+    else:
+        cells = np.array(sums, dtype=np.float64)
+        to_value = float
 
-    max_per_len: dict[int, object] = {}
-    witness_per_len: dict[int, tuple] = {}
-
-    def scan_planes(planes, to_value):
-        for cells in planes:
-            pref = np.zeros((cw + 1, ch + 1), dtype=cells.dtype)
-            pref[1:, 1:] = np.cumsum(np.cumsum(cells, axis=0), axis=1)
-            for x1 in range(cw):
-                for x2 in range(x1 + 1, cw + 1):
-                    strip = pref[x2] - pref[x1]
-                    sx = x2 - x1
-                    for sy in range(1, ch + 1):
-                        length = 2 * (sx + sy)
-                        if length_cap is not None and length > length_cap:
-                            break
-                        diffs = np.abs(strip[sy:] - strip[:-sy])
-                        y1 = int(np.argmax(diffs))
-                        val = to_value(diffs[y1])
-                        if (length not in max_per_len
-                                or val > max_per_len[length]):
-                            max_per_len[length] = val
-                            witness_per_len[length] = (x1, y1, x2, y1 + sy)
-
-    if den is not None:
-        overflow = False
-        planes = []
-        for k in range(a.dim):
-            cells = np.zeros((cw, ch), dtype=np.int64)
-            for i in range(len(complex_.faces)):
-                cells[i // ch, i % ch] = int(Fraction(da.value(i)[k]) * den)
-            if int(np.abs(cells).max(initial=0)) * cw * ch > _INT64_LIMIT:
-                overflow = True
-                break
-            planes.append(cells)
-        if not overflow:
-            scan_planes(planes, lambda s: Fraction(int(s), den))
-            rows = tuple(
-                ScanRow(length=ell, max_abs=max_per_len[ell],
-                        ratio=Fraction(max_per_len[ell], ell))
-                for ell in sorted(max_per_len))
-            witnesses = {ell: _grid_rectangle_loop(*witness_per_len[ell])
-                         for ell in witness_per_len}
-            return ScanTable(rows=rows, witnesses=witnesses, exact=True)
-        max_per_len.clear()
-        witness_per_len.clear()
-
-    planes = []
+    best: dict = {}
     for k in range(a.dim):
-        cells = np.zeros((cw, ch))
-        for i in range(len(complex_.faces)):
-            cells[i // ch, i % ch] = float(da.value(i)[k])
-        planes.append(cells)
-    scan_planes(planes, float)
-    rows = tuple(ScanRow(length=ell, max_abs=max_per_len[ell],
-                         ratio=max_per_len[ell] / ell)
-                 for ell in sorted(max_per_len))
-    witnesses = {ell: _grid_rectangle_loop(*witness_per_len[ell])
-                 for ell in witness_per_len}
-    return ScanTable(rows=rows, witnesses=witnesses, exact=False)
+        pref = np.zeros((cw + 1, ch + 1), dtype=cells.dtype)
+        pref[1:, 1:] = np.cumsum(np.cumsum(
+            cells[:, k].reshape(cw, ch), axis=0), axis=1)
+        for x1 in range(cw):
+            for x2 in range(x1 + 1, cw + 1):
+                strip = pref[x2] - pref[x1]
+                sx = x2 - x1
+                for sy in range(1, ch + 1):
+                    length = 2 * (sx + sy)
+                    if length_cap is not None and length > length_cap:
+                        break
+                    diffs = np.abs(strip[sy:] - strip[:-sy])
+                    y1 = int(np.argmax(diffs))
+                    _keep_max(best, length, diffs[y1],
+                              (x1, y1, x2, y1 + sy))
+    # cell sums compare like the values they scale to; convert once
+    return _scan_table(
+        {ell: (to_value(m), _grid_rectangle_loop(*rect))
+         for ell, (m, rect) in best.items()}, exact)
 
 
 def _fundamental_cycles(complex_: BaseComplex) -> list[tuple]:
@@ -438,27 +391,13 @@ def linear_bound_scan(complex_: BaseComplex, a: Cochain1,
         for _ in range(min(100, 4 * len(cycles) * len(cycles))):
             loops.append(rng.choice(cycles) + rng.choice(cycles))
 
-    exact = a.exact
-    max_per_len: dict[int, object] = {}
-    witness: dict[int, tuple] = {}
+    best: dict = {}
     for loop in loops:
         ell = len(loop)
-        if length_cap is not None and ell > length_cap:
-            continue
-        worst = None
-        for k in range(a.dim):
-            val = abs(_loop_value(a, loop, k))
-            if worst is None or val > worst:
-                worst = val
-        if ell not in max_per_len or worst > max_per_len[ell]:
-            max_per_len[ell] = worst
-            witness[ell] = loop
-    rows = tuple(
-        ScanRow(length=ell, max_abs=max_per_len[ell],
-                ratio=(Fraction(max_per_len[ell], ell) if exact
-                       else max_per_len[ell] / ell))
-        for ell in sorted(max_per_len))
-    return ScanTable(rows=rows, witnesses=witness, exact=exact)
+        if length_cap is None or ell <= length_cap:
+            _keep_max(best, ell, max(abs(_loop_value(a, loop, k))
+                                     for k in range(a.dim)), loop)
+    return _scan_table(best, a.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +412,13 @@ def primitive(complex_: BaseComplex, a: Cochain1, bound_c) -> dict:
     weight the supremum is infinite and the premise of the construction
     fails: PositiveCycle carries a witness loop.  On success a + df is
     uniformly bounded by 4C on every edge in exact arithmetic (the
-    construction actually achieves 2C); in float mode the guarantee
-    degrades to 6C from accumulated roundoff.
+    construction actually achieves 2C).  The arithmetic is exact when a and
+    bound_c both are, and float otherwise; in float the guarantee degrades
+    to 6C from accumulated roundoff.
     """
-    exact = a.exact and isinstance(bound_c, (int, Fraction))
-    two_c = 2 * Fraction(bound_c) if exact else 2.0 * float(bound_c)
+    num = (Fraction if a.exact and isinstance(bound_c, (int, Fraction))
+           else float)
+    two_c = 2 * num(bound_c)
     nv = len(complex_.vertices)
     out: dict = {v: [] for v in complex_.vertices}
 
@@ -489,7 +430,7 @@ def primitive(complex_: BaseComplex, a: Cochain1, bound_c) -> dict:
     for k in range(a.dim):
         dist: dict = {v: None for v in complex_.vertices}
         pred: dict = {}
-        dist[complex_.basepoint] = Fraction(0) if exact else 0.0
+        dist[complex_.basepoint] = num(0)
         inqueue = {v: False for v in complex_.vertices}
         relax_count = {v: 0 for v in complex_.vertices}
         queue = deque([complex_.basepoint])
@@ -514,6 +455,16 @@ def primitive(complex_: BaseComplex, a: Cochain1, bound_c) -> dict:
                 raise ValueError("vertex unreachable from basepoint")
             out[v].append(dist[v])
     return {v: tuple(vals) for v, vals in out.items()}
+
+
+def residual_sup(complex_: BaseComplex, a: Cochain1, f: dict):
+    """sup |a + df| over edges and coordinates: the edge bound a potential
+    f certifies for a."""
+    df = coboundary_of_potential(complex_, f, a.dim)
+    return max((abs(av + dv)
+                for e in complex_.edges
+                for av, dv in zip(a.value(e), df.value(e))),
+               default=_ZERO)
 
 
 def _extract_cycle(pred: dict, start, nv: int) -> tuple:
@@ -658,11 +609,16 @@ def is_trivial(complex_: BaseComplex, c: Cochain2,
     ratios.  Ratios growing across at least three doubling scales are
     evidence against any linear bound: Nontrivial, with the maximizing
     loops as witnesses.  Otherwise a potential is synthesized with C set
-    to the observed ratio bound (doubling C on a positive-cycle surprise);
-    success is a Trivial certificate carrying f and the achieved edge
-    bound, and exhausted retries leave Unknown.
+    to the observed ratio bound, doubling C when the potential fails or
+    misses its budget; success is a Trivial certificate carrying f and the
+    achieved edge bound, and exhausted retries leave Unknown.  Exact c
+    keeps everything exact with budget 4C; float c rounds the exact
+    solution once and works in float with budget 6C.
     """
     a = solve_coboundary(complex_, c)
+    if not c.exact:
+        a = Cochain1(dim=a.dim, values={
+            e: tuple(float(x) for x in vec) for e, vec in a.values.items()})
     table = linear_bound_scan(complex_, a, length_cap=length_cap, seed=seed)
 
     run, lengths = _doubling_trend(table)
@@ -678,26 +634,16 @@ def is_trivial(complex_: BaseComplex, c: Cochain2,
         try:
             f = primitive(complex_, a, bound_c)
         except PositiveCycle:
-            bound_c = bound_c * 2 if bound_c else (
-                Fraction(1) if table.exact else 1.0)
-            continue
-        df = coboundary_of_potential(complex_, f, c.dim)
-        worst = None
-        for e in complex_.edges:
-            av, dv = a.value(e), df.value(e)
-            for k in range(c.dim):
-                mag = abs(av[k] + dv[k])
-                if worst is None or mag > worst:
-                    worst = mag
-        if worst is None:
-            worst = Fraction(0) if table.exact else 0.0
-        budget = 4 * bound_c if table.exact else 6.0 * float(bound_c)
-        if worst <= budget:
-            return TrivialityVerdict(kind="Trivial", primitive_f=f,
-                                     bound_achieved=worst,
-                                     bound_budget=budget, scan=table)
-        bound_c = bound_c * 2 if bound_c else (
-            Fraction(1) if table.exact else 1.0)
+            pass
+        else:
+            worst = residual_sup(complex_, a, f)
+            budget = (4 if table.exact else 6) * bound_c
+            if worst <= budget:
+                return TrivialityVerdict(kind="Trivial", primitive_f=f,
+                                         bound_achieved=worst,
+                                         bound_budget=budget, scan=table)
+        # a zero constant restarts at one, in its own arithmetic
+        bound_c = 2 * bound_c if bound_c else bound_c + 1
     return TrivialityVerdict(
         kind="Unknown", scan=table,
         note="no growth certificate and no bounded primitive at the "
@@ -709,18 +655,20 @@ def classes_equivalent_via(complex_: BaseComplex, c1: Cochain2, c2: Cochain2,
                            length_cap: Optional[int] = None,
                            seed: int = 0) -> TrivialityVerdict:
     """Triviality of c1 - T(c2): whether the classes agree up to the given
-    invertible change of fiber coordinates."""
+    invertible change of fiber coordinates.  The difference is formed
+    exactly and rounded to floats when either class holds floats."""
     if c1.dim != c2.dim:
         raise ValueError("cochain dimensions differ")
     if transform.n != c1.dim:
         raise ValueError("transform size does not match cochain dimension")
     if transform.determinant() == 0:
         raise SingularMatrix("coefficient transform must be invertible")
+    num = Fraction if c1.exact and c2.exact else float
     diff = Cochain2(dim=c1.dim)
     for i in range(len(complex_.faces)):
         v2 = transform.apply([Fraction(x) for x in c2.value(i)])
-        diff.set(i, tuple(Fraction(x) - y
-                          for x, y in zip(c1.value(i), v2)))
+        diff.values[i] = tuple(num(Fraction(x) - y)
+                               for x, y in zip(c1.value(i), v2))
     return is_trivial(complex_, diff, length_cap=length_cap, seed=seed)
 
 

@@ -119,6 +119,20 @@ def test_cocycle_primitive_defaults_to_the_scanned_bound(capsys, write_doc):
     assert "within budget" in out
 
 
+def test_cocycle_primitive_reports_a_missed_float_budget(capsys, write_doc):
+    values = [{"edge": [[0, 0], [1, 0]], "value": [0.1]},
+              {"edge": [[0, 0], [0, 1]], "value": [0.1]},
+              {"edge": [[0, 1], [1, 1]], "value": [0.1]},
+              {"edge": [[1, 0], [1, 1]], "value": [0.3]}]
+    path = write_doc("float.json",
+                     {"complex": {"grid": [2, 2]},
+                      "gluing": {"dim": 1, "values": values}})
+    code, out, _ = run(capsys, ["cocycle", "primitive", path])
+    assert code == 0
+    assert out == ("primitive found: sup |a + df| = 0.10000000000000003 "
+                   "exceeds budget 0.10000000000000002\n")
+
+
 def test_cocycle_compare_classes_up_to_transform(capsys, write_doc):
     first = [{"face": i, "value": [2]} for i in range(12)]
     second = [{"face": i, "value": [1]} for i in range(12)]

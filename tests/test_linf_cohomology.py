@@ -7,6 +7,7 @@ floor(L/4) * ceil(L/4) / L, attained by the squarest rectangle.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from coarsebundle import (
     linear_bound_scan,
     primitive,
     solve_coboundary,
-    tau_from_gluing,
 )
 from coarsebundle.errors import NotCoboundary, PositiveCycle, SingularMatrix
 from coarsebundle.linf_cohomology import BaseComplex, Cochain1, Cochain2
@@ -39,6 +39,58 @@ def residual(complex_, a, f):
     df = coboundary_of_potential(complex_, f, a.dim)
     return {e: tuple(p + q for p, q in zip(a.value(e), df.value(e)))
             for e in complex_.edges}
+
+
+def as_floats(a):
+    return Cochain1(dim=a.dim, values={e: tuple(float(x) for x in vec)
+                                       for e, vec in a.values.items()})
+
+
+def rectangle_maxima(cx, a):
+    """Oracle: max |loop sum| per length over every cell rectangle of a
+    grid, summing edge values one by one in the cochain's arithmetic."""
+    width, height = cx.grid_shape
+    best = {}
+    for x1 in range(width - 1):
+        for x2 in range(x1 + 1, width):
+            for y1 in range(height - 1):
+                for y2 in range(y1 + 1, height):
+                    corners = [(x1, y1), (x2, y1), (x2, y2), (x1, y2)]
+                    loop = []
+                    for p, q in zip(corners, corners[1:] + corners[:1]):
+                        step = [(q[0] > p[0]) - (q[0] < p[0]),
+                                (q[1] > p[1]) - (q[1] < p[1])]
+                        while p != q:
+                            nxt = (p[0] + step[0], p[1] + step[1])
+                            loop.append((p, nxt))
+                            p = nxt
+                    total = max(abs(sum(a.value(e)[k] for e in loop))
+                                for k in range(a.dim))
+                    best[len(loop)] = max(best.get(len(loop), 0), total)
+    return best
+
+
+# primes 1009..1069, one per edge of a 3x3 grid: the face sums' common
+# denominator is their product, about 2^120
+LARGE_PRIMES = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061,
+                1063, 1069)
+
+
+def large_denominator_cochain():
+    cx = grid_complex(3, 3)
+    a = Cochain1(dim=1)
+    for e, p in zip(cx.edges, LARGE_PRIMES):
+        a.values[e] = (Fraction(1, p),)
+    return cx, a
+
+
+def near_overflow_cochain():
+    """Cells near 2^59 on a 2x2-cell grid: prefix sums could pass 2^60."""
+    cx = grid_complex(3, 3)
+    a = Cochain1(dim=1)
+    for i, e in enumerate(cx.edges):
+        a.values[e] = (Fraction(2 ** 59 + 3 * i, 1 + i % 2),)
+    return cx, a
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +136,34 @@ def test_cochain_defaults_to_zero_and_tracks_exactness():
     assert not a.exact
 
 
+def test_from_map_accepts_either_orientation_at_scale():
+    cx = grid_complex(80, 80)
+    rng = random.Random(11)
+    mapping = {}
+    for (u, v) in cx.edges:
+        x = Fraction(rng.randint(-9, 9), 2)
+        if rng.random() < 0.5:
+            mapping[(v, u)] = (-x,)
+        else:
+            mapping[(u, v)] = (x,)
+    start = time.perf_counter()
+    a = Cochain1.from_map(cx, mapping)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3.0
+    assert len(a.values) == len(cx.edges)
+    assert all(a.value(e) == vec for e, vec in mapping.items())
+
+
+def test_from_map_rejects_unknown_and_inconsistent_edges():
+    cx = grid_complex(3, 3)
+    with pytest.raises(ValueError, match="unknown edge"):
+        Cochain1.from_map(cx, {((0, 0), (2, 2)): 1})
+    with pytest.raises(ValueError, match="inconsistent orientations"):
+        Cochain1.from_map(cx, {((0, 0), (1, 0)): 1, ((1, 0), (0, 0)): 1})
+    a = Cochain1.from_map(cx, {((0, 0), (1, 0)): 1, ((1, 0), (0, 0)): -1})
+    assert a.values == {((0, 0), (1, 0)): (1,)}
+
+
 def test_column_weight_cochain_values():
     cx = grid_complex(5, 4)
     a = heisenberg_cochain(cx)
@@ -102,14 +182,6 @@ def test_area_form_is_one_on_every_cell():
     cx = grid_complex(6, 5)
     tau = d1(cx, heisenberg_cochain(cx))
     assert all(tau.value(i) == (Fraction(1),) for i in range(len(cx.faces)))
-
-
-def test_gluing_defect_is_the_coboundary():
-    cx = grid_complex(4, 4)
-    a = heisenberg_cochain(cx)
-    lhs = tau_from_gluing(cx, a)
-    rhs = d1(cx, a)
-    assert all(lhs.value(i) == rhs.value(i) for i in range(len(cx.faces)))
 
 
 def test_coboundary_of_coboundary_vanishes():
@@ -165,6 +237,71 @@ def test_scan_on_general_complex_uses_face_loops():
     assert by_length[4].ratio == Fraction(1)
 
 
+def test_scan_on_a_float_grid_gives_float_rows():
+    cx = grid_complex(5, 4)
+    exact = linear_bound_scan(cx, heisenberg_cochain(cx))
+    table = linear_bound_scan(cx, as_floats(heisenberg_cochain(cx)))
+    assert not table.exact
+    assert all(isinstance(row.max_abs, float) and isinstance(row.ratio, float)
+               for row in table.rows)
+    assert ([(row.length, row.max_abs, row.ratio) for row in table.rows]
+            == [(row.length, float(row.max_abs), float(row.ratio))
+                for row in exact.rows])
+    assert table.witnesses == exact.witnesses
+    assert isinstance(table.max_ratio, float)
+
+
+def test_scan_on_a_float_general_complex_gives_float_rows():
+    cx = square_complex()
+    a = Cochain1(dim=1)
+    for e in cx.edges:
+        a.values[e] = (1.0,)
+    table = linear_bound_scan(cx, a)
+    assert not table.exact
+    by_length = {row.length: row for row in table.rows}
+    assert by_length[4].max_abs == 4.0
+    assert isinstance(by_length[4].max_abs, float)
+    assert by_length[4].ratio == 1.0
+    assert isinstance(by_length[4].ratio, float)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_scan_matches_every_rectangle(seed):
+    rng = random.Random(seed)
+    cx = grid_complex(rng.randint(2, 6), rng.randint(2, 6))
+    a = Cochain1(dim=2)
+    for e in cx.edges:
+        a.values[e] = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                            for _ in range(2))
+    for cochain in (a, as_floats(a)):
+        table = linear_bound_scan(cx, cochain)
+        oracle = rectangle_maxima(cx, cochain)
+        assert sorted(oracle) == [row.length for row in table.rows]
+        for row in table.rows:
+            if cochain.exact:
+                assert row.max_abs == oracle[row.length]
+            else:
+                assert row.max_abs == pytest.approx(oracle[row.length],
+                                                    rel=1e-12)
+            loop = table.witnesses[row.length]
+            assert len(loop) == row.length
+            assert max(abs(sum(cochain.value(e)[k] for e in loop))
+                       for k in range(2)) == pytest.approx(row.max_abs,
+                                                           rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [large_denominator_cochain,
+                                  near_overflow_cochain])
+def test_grid_scan_stays_exact_past_int64_scaling(make):
+    cx, a = make()
+    table = linear_bound_scan(cx, a)
+    assert table.exact
+    oracle = rectangle_maxima(cx, a)
+    assert {row.length: row.max_abs for row in table.rows} == oracle
+    assert all(row.ratio == Fraction(row.max_abs, row.length)
+               for row in table.rows)
+
+
 def test_scan_respects_length_cap():
     cx = grid_complex(9, 9)
     table = linear_bound_scan(cx, heisenberg_cochain(cx), length_cap=12)
@@ -189,6 +326,17 @@ def test_primitive_succeeds_at_the_loop_ratio_threshold():
                for i in range(len(cx.faces)))
     assert all(d1(cx, a).value(i) == da.value(i)
                for i in range(len(cx.faces)))
+
+
+def test_primitive_with_a_float_bound_works_in_float():
+    cx = grid_complex(9, 9)
+    a = heisenberg_cochain(cx)
+    f = primitive(cx, a, 2.0)
+    assert f[cx.basepoint] == (0.0,)
+    assert all(isinstance(x, float) for vals in f.values() for x in vals)
+    worst = max(max(abs(x) for x in t) for t in residual(cx, a, f).values())
+    assert isinstance(worst, float)
+    assert worst <= 6 * 2.0
 
 
 def test_primitive_reports_a_checkable_positive_cycle():
@@ -266,6 +414,37 @@ def test_is_trivial_certifies_bounded_classes():
     assert verdict.primitive_f is not None
     assert set(verdict.primitive_f) == set(cx.vertices)
     assert verdict.bound_achieved <= 4 * verdict.bound_budget
+
+
+def test_is_trivial_on_float_input_certifies_against_six_c():
+    rng = random.Random(3)
+    cx = grid_complex(5, 5)
+    a = Cochain1(dim=1)
+    for e in cx.edges:
+        a.values[e] = (rng.randint(-12, 12) / 10,)
+    verdict = is_trivial(cx, d1(cx, a))
+    assert verdict.kind == "Trivial"
+    assert not verdict.scan.exact
+    assert isinstance(verdict.bound_budget, float)
+    assert verdict.bound_budget == 6 * verdict.scan.max_ratio
+    assert isinstance(verdict.bound_achieved, float)
+    assert verdict.bound_achieved <= verdict.bound_budget
+    assert all(isinstance(x, float)
+               for vals in verdict.primitive_f.values() for x in vals)
+
+
+@pytest.mark.parametrize("make", [large_denominator_cochain,
+                                  near_overflow_cochain])
+def test_is_trivial_keeps_exact_input_exact(make):
+    cx, a = make()
+    verdict = is_trivial(cx, d1(cx, a))
+    assert verdict.kind == "Trivial"
+    assert verdict.scan.exact
+    assert isinstance(verdict.bound_achieved, Fraction)
+    assert verdict.bound_budget == 4 * verdict.scan.max_ratio
+    assert verdict.bound_achieved <= verdict.bound_budget
+    assert all(isinstance(x, Fraction)
+               for vals in verdict.primitive_f.values() for x in vals)
 
 
 def test_is_trivial_rejects_the_area_form():
