@@ -12,8 +12,8 @@ trusted at radii that stay clear of clipped vertices.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -110,7 +110,8 @@ class Affine:
 @dataclass(frozen=True)
 class Tabulated:
     """Pointwise map of the rank-one fiber, possibly depending on the base
-    vertex; injectivity is checked on the declared window at build time."""
+    vertex; a window build calls ``fn`` once per window point and base edge
+    and checks injectivity on the window."""
 
     fn: Callable[[object, int], int]
     name: str = "tabulated"
@@ -199,32 +200,76 @@ def phi_example_spec() -> GluingSpec:
 # total space construction
 
 
-@dataclass
+@dataclass(eq=False)
 class TotalSpaceBall:
-    """Windowed model of the total space.
+    """Windowed model of the total space, stored as arrays.
 
-    Vertices are (fiber point, base vertex) pairs with the fiber point a
-    tuple of integers.  clipped holds every vertex whose model neighborhood
-    could not be fully realized inside the windows.
+    Vertex (f, b) has the id ``base_index(b) * |F| + k``, where k is the
+    position of the fiber point f in the fiber box (points in lexicographic
+    order, so the first coordinate is the most significant mixed-radix
+    digit) and |F| is the number of box points.  The neighbors of id i are
+    ``indices[indptr[i]:indptr[i + 1]]``: every edge is stored in both
+    directions, and parallel edges and loops are kept.  ``clip[i]`` marks a
+    vertex whose model neighborhood could not be fully realized inside the
+    windows.  ``clipped`` and ``adjacency`` are views keyed by
+    ``(fiber tuple, base vertex)`` pairs, built on first use.
     """
 
     fiber_dim: int
     origin: tuple
-    adjacency: dict
-    clipped: frozenset
-    fiber_edges: tuple
-    gluing_edges: tuple
-
-    @property
-    def vertices(self) -> frozenset:
-        return frozenset(self.adjacency)
+    base_vertices: tuple
+    fiber_window: tuple  # (lo, hi) on every fiber coordinate
+    indptr: np.ndarray
+    indices: np.ndarray
+    clip: np.ndarray
+    fiber_edge_count: int
+    gluing_edge_count: int
 
     @property
     def size(self) -> int:
-        return len(self.adjacency)
+        return len(self.clip)
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    @cached_property
+    def _fiber_points(self) -> list:
+        return _fiber_box(self.fiber_window, self.fiber_dim)
+
+    @cached_property
+    def _base_index(self) -> dict:
+        return {b: i for i, b in enumerate(self.base_vertices)}
+
+    def index(self, v) -> int:
+        """Id of the vertex (f, b); KeyError when it lies outside."""
+        f, b = v
+        k = _fiber_offset(f, self.fiber_window, self.fiber_dim)
+        if k is None or b not in self._base_index:
+            raise KeyError(v)
+        n_fiber = self.size // len(self.base_vertices)
+        return self._base_index[b] * n_fiber + k
+
+    def _vertex(self, i: int) -> tuple:
+        b, k = divmod(i, len(self._fiber_points))
+        return (self._fiber_points[k], self.base_vertices[b])
 
     def degree(self, v) -> int:
-        return len(self.adjacency[v])
+        i = self.index(v)
+        return int(self.indptr[i + 1] - self.indptr[i])
+
+    @cached_property
+    def clipped(self) -> frozenset:
+        return frozenset(self._vertex(i)
+                         for i in np.flatnonzero(self.clip).tolist())
+
+    @cached_property
+    def adjacency(self) -> dict:
+        labels = [self._vertex(i) for i in range(self.size)]
+        ptr = self.indptr.tolist()
+        nbrs = self.indices.tolist()
+        return {v: [labels[j] for j in nbrs[ptr[i]:ptr[i + 1]]]
+                for i, v in enumerate(labels)}
 
 
 def _map_parts(gmap) -> tuple[np.ndarray, np.ndarray]:
@@ -276,6 +321,7 @@ def _base_graph(spec: GluingSpec, base_window):
 
 
 def _fiber_box(fiber_window, dim: int):
+    """The fiber window's points as tuples, in vertex-id order."""
     lo, hi = _window_interval(fiber_window)
     rng = range(lo, hi + 1)
     if dim == 1:
@@ -286,16 +332,89 @@ def _fiber_box(fiber_window, dim: int):
     return pts
 
 
+def _fiber_offset(f, window: tuple, dim: int) -> Optional[int]:
+    """Position of the fiber point f in the box, or None outside it."""
+    lo, hi = window
+    if len(f) != dim:
+        return None
+    k = 0
+    for x in f:
+        if not lo <= x <= hi or x != int(x):
+            return None
+        k = k * (hi - lo + 1) + int(x) - lo
+    return k
+
+
+def _linear_gluing(gmap, coords: np.ndarray, lo: int, hi: int):
+    """Box offsets (sources, their images, sources whose image leaves the
+    box, points whose preimage leaves it) of a matrix gluing map."""
+    mat, shift = _map_parts(gmap)
+    imgs = coords @ mat.T + shift
+    inside = np.all((imgs >= lo) & (imgs <= hi), axis=1)
+    # backward pass: window points whose integral preimage exists but falls
+    # outside the window lack their gluing partner
+    pre_f = np.linalg.solve(mat.astype(float), (coords - shift).T).T
+    cand = np.rint(pre_f).astype(np.int64)
+    exact = np.all(cand @ mat.T + shift == coords, axis=1)
+    pre_inside = np.all((cand >= lo) & (cand <= hi), axis=1)
+    radix = (hi - lo + 1) ** np.arange(coords.shape[1] - 1, -1, -1)
+    return (np.flatnonzero(inside), (imgs[inside] - lo) @ radix,
+            np.flatnonzero(~inside), np.flatnonzero(exact & ~pre_inside))
+
+
+def _tabulated_gluing(gmap: Tabulated, b, edge, lo: int, hi: int):
+    """The same four offset arrays for a rank-one pointwise map, calling
+    ``gmap.fn`` once per window point."""
+    xs = np.arange(lo, hi + 1)
+    imgs = np.array([gmap.fn(b, x) for x in range(lo, hi + 1)],
+                    dtype=np.int64)
+    _, first = np.unique(imgs, return_index=True)
+    if len(first) < len(imgs):
+        repeat = np.ones(len(imgs), dtype=bool)
+        repeat[first] = False
+        k = int(np.flatnonzero(repeat)[0])
+        j = int(np.flatnonzero(imgs == imgs[k])[0])
+        raise NonBijectiveTabulated(
+            f"gluing over base edge {edge!r} sends both {(lo + j,)!r} and "
+            f"{(lo + k,)!r} to {(int(imgs[k]),)!r}")
+    inside = (imgs >= lo) & (imgs <= hi)
+    # a point outside the image's span has no preimage anywhere
+    return (np.flatnonzero(inside), imgs[inside] - lo,
+            np.flatnonzero(~inside),
+            np.flatnonzero((xs < imgs.min()) | (xs > imgs.max())))
+
+
+def _csr(links: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both-direction CSR arrays of edge blocks (src, dst) in which no
+    source and no target repeats."""
+    degree = np.zeros(n, dtype=np.int64)
+    for src, dst in links:
+        degree[src] += 1
+        degree[dst] += 1
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    slot = indptr[:-1].copy()
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    for src, dst in links:
+        indices[slot[src]] = dst
+        slot[src] += 1
+        indices[slot[dst]] = src
+        slot[dst] += 1
+    return indptr, indices
+
+
 def build_total_space(spec: GluingSpec, base_window, fiber_window,
                       origin, cap: Optional[int] = None) -> TotalSpaceBall:
-    """Materialize the windowed total space of a gluing spec.
+    """Build the windowed total space of a gluing spec as arrays.
 
     Windows are given as a half-width (symmetric about 0) or as an explicit
     (lo, hi) interval; an off-center base interval lets a ball be carved
-    around a distant origin without materializing everything in between.
+    around a distant origin without building everything in between.
 
     Fiber edges join lattice neighbors over a fixed base vertex; gluing
-    edges join (f, b) to (map(f), b') over each base edge.  A vertex is
+    edges join (f, b) to (map(f), b') over each base edge.  The images of a
+    matrix gluing map are computed once per map, those of a Tabulated map
+    once per base edge with one ``fn`` call per window point.  A vertex is
     clipped when a fiber neighbor (on either side) or a forward image leaves
     the windows, when the base neighborhood is truncated, or when a backward
     gluing partner cannot be ruled out inside the window.  Tabulated maps
@@ -305,100 +424,57 @@ def build_total_space(spec: GluingSpec, base_window, fiber_window,
     """
     cap = resolve_vertex_cap(cap)
     base_vertices, base_edges, base_boundary = _base_graph(spec, base_window)
-    fiber_points = _fiber_box(fiber_window, spec.fiber_dim)
-    total = len(base_vertices) * len(fiber_points)
-    if total > cap:
+    lo, hi = _window_interval(fiber_window)
+    dim = spec.fiber_dim
+    n_fiber = (hi - lo + 1) ** dim
+    if len(base_vertices) * n_fiber > cap:
         raise WindowTooLarge(cap)
 
-    fiber_set = set(fiber_points)
     origin_f, origin_b = origin
     if isinstance(origin_f, int):
         origin_f = (origin_f,)
     origin = (tuple(origin_f), origin_b)
-
-    adjacency: dict = {}
-    for b in base_vertices:
-        for f in fiber_points:
-            adjacency[(f, b)] = []
-    if origin not in adjacency:
+    base_index = {b: i for i, b in enumerate(base_vertices)}
+    if (origin_b not in base_index
+            or _fiber_offset(origin[0], (lo, hi), dim) is None):
         raise ValueError("origin lies outside the windows")
 
-    clipped = set()
-    fiber_edges = []
-    gluing_edges = []
-
-    flo, fhi = _window_interval(fiber_window)
-    unit = [tuple(1 if j == i else 0 for j in range(spec.fiber_dim))
-            for i in range(spec.fiber_dim)]
+    coords = (np.indices((hi - lo + 1,) * dim, dtype=np.int64)
+              .reshape(dim, n_fiber).T + lo)
     # a point on either face of the fiber box misses a lattice neighbor
-    on_face = [f for f in fiber_points if flo in f or fhi in f]
-    for b in base_vertices:
-        rim = fiber_points if b in base_boundary else on_face
-        clipped.update((f, b) for f in rim)
-        for f in fiber_points:
-            for e_i in unit:
-                g = tuple(x + d for x, d in zip(f, e_i))
-                if g in fiber_set:
-                    adjacency[(f, b)].append((g, b))
-                    adjacency[(g, b)].append((f, b))
-                    fiber_edges.append(((f, b), (g, b)))
+    clip = np.empty((len(base_vertices), n_fiber), dtype=bool)
+    clip[:] = np.any((coords == lo) | (coords == hi), axis=1)
+    clip[[base_index[b] for b in base_boundary]] = True
 
-    fiber_arr = np.array(fiber_points, dtype=np.int64)
+    rows = np.arange(len(base_vertices), dtype=np.int64)[:, None] * n_fiber
+    fiber_links = []
+    for j in range(dim):
+        src = (rows + np.flatnonzero(coords[:, j] < hi)).ravel()
+        fiber_links.append((src, src + (hi - lo + 1) ** (dim - 1 - j)))
+
+    gluing_links = []
+    per_map: dict = {}
     for (b, b2) in base_edges:
         gmap = spec.map_for((b, b2))
-        if not isinstance(gmap, Tabulated):
-            mat, shift = _map_parts(gmap)
-            imgs = fiber_arr @ mat.T + shift
-            inside = np.all((imgs >= flo) & (imgs <= fhi), axis=1)
-            for f, row, ok in zip(fiber_points, imgs.tolist(),
-                                  inside.tolist()):
-                if ok:
-                    img = tuple(row)
-                    adjacency[(f, b)].append((img, b2))
-                    adjacency[(img, b2)].append((f, b))
-                    gluing_edges.append(((f, b), (img, b2)))
-                else:
-                    clipped.add((f, b))
-            # backward pass: window points at b2 whose integral preimage
-            # exists but falls outside the window lack their gluing partner
-            pre_f = np.linalg.solve(mat.astype(float),
-                                    (fiber_arr - shift).T).T
-            cand = np.rint(pre_f).astype(np.int64)
-            exact = np.all(cand @ mat.T + shift == fiber_arr, axis=1)
-            pre_inside = np.all((cand >= flo) & (cand <= fhi), axis=1)
-            for f, good, pin in zip(fiber_points, exact.tolist(),
-                                    pre_inside.tolist()):
-                if good and not pin:
-                    clipped.add((f, b2))
-            continue
-        image: dict = {}
-        for f in fiber_points:
-            img = gmap.apply(b, f)
-            if img in image:
-                raise NonBijectiveTabulated(
-                    f"gluing over base edge {(b, b2)!r} sends both "
-                    f"{image[img]!r} and {f!r} to {img!r}")
-            image[img] = f
-        lo = min(img[0] for img in image)
-        hi = max(img[0] for img in image)
-        for f in fiber_points:
-            img = gmap.apply(b, f)
-            if img in fiber_set:
-                adjacency[(f, b)].append((img, b2))
-                adjacency[(img, b2)].append((f, b))
-                gluing_edges.append(((f, b), (img, b2)))
-            else:
-                clipped.add((f, b))
-        for f in fiber_points:
-            if f in image:
-                continue  # covered by the forward pass
-            if f[0] < lo or f[0] > hi:
-                clipped.add((f, b2))
+        if isinstance(gmap, Tabulated):
+            parts = _tabulated_gluing(gmap, b, (b, b2), lo, hi)
+        else:
+            if id(gmap) not in per_map:
+                per_map[id(gmap)] = _linear_gluing(gmap, coords, lo, hi)
+            parts = per_map[id(gmap)]
+        src, dst, lost, unreached = parts
+        i, i2 = base_index[b], base_index[b2]
+        clip[i, lost] = True
+        clip[i2, unreached] = True
+        gluing_links.append((i * n_fiber + src, i2 * n_fiber + dst))
 
-    return TotalSpaceBall(fiber_dim=spec.fiber_dim, origin=origin,
-                          adjacency=adjacency, clipped=frozenset(clipped),
-                          fiber_edges=tuple(fiber_edges),
-                          gluing_edges=tuple(gluing_edges))
+    indptr, indices = _csr(fiber_links + gluing_links, clip.size)
+    return TotalSpaceBall(
+        fiber_dim=dim, origin=origin, base_vertices=tuple(base_vertices),
+        fiber_window=(lo, hi), indptr=indptr, indices=indices,
+        clip=clip.ravel(),
+        fiber_edge_count=sum(len(src) for src, _ in fiber_links),
+        gluing_edge_count=sum(len(src) for src, _ in gluing_links))
 
 
 # ---------------------------------------------------------------------------
@@ -422,35 +498,32 @@ class GrowthSeries:
 def ball_growth(ball: TotalSpaceBall, rmax: int) -> GrowthSeries:
     """BFS ball sizes from the origin for r = 0..rmax.
 
-    A radius is valid only when it is strictly smaller than the distance to
-    every clipped vertex, so no missing neighbor or out-of-window shortcut
-    can affect the count.  The origin must be interior.
+    The BFS is level-synchronous over the window's CSR arrays: each step
+    gathers the neighbors of the whole frontier and keeps the unseen ones
+    as the next sphere.  A radius is valid only when it is strictly smaller
+    than the distance to every clipped vertex, so no missing neighbor or
+    out-of-window shortcut can affect the count.  The origin must be
+    interior.
     """
-    if ball.origin in ball.clipped:
+    origin = ball.index(ball.origin)
+    if ball.clip[origin]:
         raise ValueError("origin is clipped; enlarge the windows")
-    dist = {ball.origin: 0}
-    queue = deque([ball.origin])
-    sphere_counts = [0] * (rmax + 1)
-    sphere_counts[0] = 1
+    seen = np.zeros(ball.size, dtype=bool)
+    seen[origin] = True
+    frontier = np.array([origin], dtype=np.int64)
+    counts = [1]
     min_clip = math.inf
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if du >= rmax:
-            continue
-        for w in ball.adjacency[u]:
-            if w not in dist:
-                d = du + 1
-                dist[w] = d
-                sphere_counts[d] += 1
-                if w in ball.clipped and d < min_clip:
-                    min_clip = d
-                queue.append(w)
-    counts = []
-    acc = 0
-    for r in range(rmax + 1):
-        acc += sphere_counts[r]
-        counts.append(acc)
+    for r in range(1, rmax + 1):
+        starts = ball.indptr[frontier]
+        lengths = ball.indptr[frontier + 1] - starts
+        slots = (np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+                 + np.arange(lengths.sum()))
+        nbrs = ball.indices[slots]
+        frontier = np.unique(nbrs[~seen[nbrs]])
+        seen[frontier] = True
+        if min_clip == math.inf and ball.clip[frontier].any():
+            min_clip = r
+        counts.append(counts[-1] + len(frontier))
     flags = tuple(r < min_clip for r in range(rmax + 1))
     return GrowthSeries(counts=tuple(counts), flags=flags)
 

@@ -371,16 +371,17 @@ def cmd_bundle(args, argv: list[str]) -> int:
     origin_b = _parse_base_vertex(args.origin_base)
     ball = build_total_space(spec, base_window, fiber_window,
                              (origin_f, origin_b))
-    max_degree = max(ball.degree(v) for v in ball.adjacency)
-    summary = {"vertices": ball.size, "clipped": len(ball.clipped),
-               "fiber_edges": len(ball.fiber_edges),
-               "gluing_edges": len(ball.gluing_edges),
+    max_degree = int(ball.degrees.max())
+    n_clipped = int(ball.clip.sum())
+    summary = {"vertices": ball.size, "clipped": n_clipped,
+               "fiber_edges": ball.fiber_edge_count,
+               "gluing_edges": ball.gluing_edge_count,
                "max_degree": max_degree}
     params = {"base_window": base_window, "fiber_window": fiber_window,
               "origin": [list(origin_f), origin_b], "rmax": None}
 
     if args.action == "build":
-        text = (f"built {ball.size} vertices ({len(ball.clipped)} clipped), "
+        text = (f"built {ball.size} vertices ({n_clipped} clipped), "
                 f"degree <= {max_degree}")
         return _emit(args, argv, params, summary, {}, text, EXIT_DECIDED)
 
@@ -431,12 +432,14 @@ def cmd_subgroup(args, argv: list[str]) -> int:
         g2 = _load_group(_load_json(args.inputs[1]))
         conj = (_rat_matrix(json.loads(args.conjugator))
                 if args.conjugator else None)
-        verdict = hausdorff_equivalent(g1, g2, conjugator=conj)
+        verdict = hausdorff_equivalent(g1, g2, conjugator=conj,
+                                       budget=args.budget)
         text = f"{verdict.kind}: {verdict.reason}"
         code = (EXIT_DECIDED if verdict.kind in ("Equivalent",
                                                  "NotEquivalent")
                 else EXIT_UNDETERMINED)
-        return _emit(args, argv, {"conjugator": conj}, verdict, {},
+        return _emit(args, argv, {"budget": args.budget,
+                                  "conjugator": conj}, verdict, {},
                      text, code)
     if args.action == "free":
         group = _load_group(_load_json(args.inputs[0]))

@@ -1037,7 +1037,9 @@ class EquivalenceVerdict:
 
 def hausdorff_equivalent(g1: Gl2Subgroup, g2: Gl2Subgroup,
                          conjugator: Optional[RatMatrix] = None,
-                         search_depth: int = 5) -> EquivalenceVerdict:
+                         search_depth: int = 5,
+                         budget: int = TODD_COXETER_BUDGET
+                         ) -> EquivalenceVerdict:
     """Compare the coarse classes of two GL2(Q) subgroups.
 
     Distinct class fields decide inequivalence; matching elementary or
@@ -1045,10 +1047,11 @@ def hausdorff_equivalent(g1: Gl2Subgroup, g2: Gl2Subgroup,
     modular group are commensurable, and elementary classes of the same kind
     are conjugate up to bounded distance).  Matching Cantor-type classes stay
     Unknown unless a conjugator is supplied that verifiably carries one
-    generator set into the group generated by the other.
+    generator set into the group generated by the other.  ``budget`` bounds
+    the coset enumeration of each class, as in `hausdorff_class`.
     """
-    c1 = hausdorff_class(g1)
-    c2 = hausdorff_class(g2)
+    c1 = hausdorff_class(g1, budget=budget)
+    c2 = hausdorff_class(g2, budget=budget)
 
     if c1.det_part.kind != c2.det_part.kind:
         return EquivalenceVerdict(kind="NotEquivalent", reason="det_part kind")

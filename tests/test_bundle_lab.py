@@ -1,14 +1,20 @@
 """Tests for windowed total spaces, growth series, and drift seminorms.
 
 Ball-count oracles are independent: closed forms for lattice balls in the
-taxicab metric and a direct brute-force distance count for the rank-3 case.
+taxicab metric, a direct brute-force distance count for the rank-3 case,
+networkx BFS distances, and the dict-of-tuples reference builder in
+`bundle_oracle`.
 """
 
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
+from bundle_oracle import oracle_ball_growth, oracle_total_space
 
 from coarsebundle import (
     GluingSpec,
@@ -200,6 +206,227 @@ def test_doubling_wedge_formula():
     assert phi(3, -7) == -10
     assert phi(0, 4) == 4
     assert phi(-2, 1) == 2
+
+
+# ---------------------------------------------------------------------------
+# array windows against the reference builder
+
+
+def _sl2_word(rng, length):
+    m = IntMatrix.identity(2)
+    for _ in range(length):
+        a = rng.choice((-2, -1, 1, 2))
+        m = m @ IntMatrix([[1, a], [0, 1]] if rng.random() < 0.5
+                          else [[1, 0], [a, 1]])
+    return m
+
+
+def _fib_matrix(k):
+    fib = [0, 1]
+    while len(fib) <= k:
+        fib.append(fib[-1] + fib[-2])
+    return IntMatrix([[fib[k], fib[k - 1]], [fib[k - 1], fib[k - 2]]])
+
+
+def _shifted_cube(b, x):
+    """An injective pointwise map that depends on the base vertex."""
+    return x ** 3 + len(str(b))
+
+
+def _window_corpus():
+    """Seeded windows (spec, base window, fiber window, origin, rmax) over
+    line, grid and finite bases with every kind of gluing map."""
+    rng = random.Random(20261018)
+    cases = []
+    for _ in range(12):
+        bw, fw = rng.randint(2, 8), rng.randint(2, 9)
+        cases.append((line_spec((rng.randint(-2, 2),)), bw, fw,
+                      ((rng.randint(-fw, fw),), rng.randint(-bw, bw)),
+                      rng.randint(2, 10)))
+    for _ in range(8):
+        spec = GluingSpec(base="line", fiber_dim=2,
+                          edge_map=Linear(_sl2_word(rng, 2)))
+        cases.append((spec, rng.randint(2, 4), rng.randint(3, 6),
+                      ((0, 0), 0), 6))
+    for _ in range(6):
+        shift = (rng.randint(-2, 2), rng.randint(-2, 2))
+        spec = GluingSpec(base="line", fiber_dim=2,
+                          edge_map=Affine(_sl2_word(rng, 2), shift))
+        cases.append((spec, 3, 5, ((rng.randint(-1, 1), 0), 0), 5))
+    for fiber_dim, gmap in ((1, Translation((1,))),
+                            (1, Linear(IntMatrix([[-1]]))),
+                            (2, Linear(IntMatrix([[2, 1], [1, 1]]))),
+                            (2, Linear(_sl2_word(rng, 3)))):
+        spec = GluingSpec(base="grid", fiber_dim=fiber_dim, edge_map=gmap)
+        cases.append((spec, 3, 4, ((0,) * fiber_dim, (0, 0)), 4))
+    for _ in range(6):
+        lo = rng.randint(-40, 60)
+        hi = lo + rng.randint(2, 10)
+        cases.append((phi_example_spec(), (lo, hi), rng.randint(10, 80),
+                      ((rng.randint(-3, 3),), rng.randint(lo, hi)), 8))
+    # maps that are injective but not onto the lattice
+    for fiber_dim, gmap in ((1, Linear(IntMatrix([[2]]))),
+                            (1, Affine(IntMatrix([[3]]), (1,))),
+                            (2, Linear(IntMatrix([[2, 1], [0, 1]]))),
+                            (2, Affine(IntMatrix([[1, 0], [1, 2]]), (1, -1)))):
+        spec = GluingSpec(base="line", fiber_dim=fiber_dim, edge_map=gmap)
+        cases.append((spec, 3, 5, ((0,) * fiber_dim, 0), 5))
+    # per-edge maps of every kind on one line
+    for _ in range(4):
+        maps = {(b, b + 1): rng.choice((
+            Translation((rng.randint(-2, 2),)), Linear(IntMatrix([[-1]])),
+            Affine(IntMatrix([[-1]]), (rng.randint(-2, 2),)),
+            Tabulated(fn=_shifted_cube, name="cube")))
+            for b in range(-4, 4) if rng.random() < 0.6}
+        spec = GluingSpec(base="line", fiber_dim=1,
+                          edge_map=Translation((1,)), edge_maps=maps)
+        cases.append((spec, 4, 9, ((0,), 0), 6))
+    # finite bases with a loop and parallel edges
+    multi = FiniteBase(vertices=("a", "b", "c"),
+                       edges=(("a", "a"), ("a", "b"), ("a", "b"),
+                              ("b", "c"), ("c", "a")))
+    for gmap in (Translation((0,)), Translation((1,)),
+                 Linear(IntMatrix([[1]])), Linear(IntMatrix([[2]])),
+                 Tabulated(fn=_shifted_cube)):
+        spec = GluingSpec(base=multi, fiber_dim=1, edge_map=gmap)
+        cases.append((spec, None, 6, ((0,), "a"), 5))
+    shear = Affine(IntMatrix([[1, 1], [0, 1]]), (1, 0))
+    spec = GluingSpec(base=multi, fiber_dim=2,
+                      edge_map=Linear(_sl2_word(rng, 2)),
+                      edge_maps={("a", "a"): shear,
+                                 ("a", "b"): Translation((0, -1))})
+    cases.append((spec, None, 4, ((0, 0), "b"), 4))
+    # origins on a fiber face or on the base boundary are clipped
+    cases.append((line_spec(), 3, 3, ((3,), 0), 2))
+    cases.append((line_spec(), 3, 3, ((0,), -3), 2))
+    cases.append((phi_example_spec(), (10, 14), 30, ((0,), 14), 4))
+    # the float back-clip probe (Fibonacci entries near 1.3e6)
+    pair = FiniteBase(vertices=("a", "b"), edges=(("a", "b"),))
+    cases.append((GluingSpec(base=pair, fiber_dim=2,
+                             edge_map=Linear(_fib_matrix(31))),
+                  None, 3, ((0, 0), "a"), 3))
+    return cases
+
+
+def _growth_or_error(grow, ball, rmax):
+    try:
+        return grow(ball, rmax)
+    except ValueError as ex:
+        return str(ex)
+
+
+@pytest.mark.parametrize("case", _window_corpus())
+def test_array_windows_match_the_reference_builder(case):
+    spec, base_window, fiber_window, origin, rmax = case
+    ball = build_total_space(spec, base_window, fiber_window, origin)
+    want = oracle_total_space(spec, base_window, fiber_window, origin)
+    assert ball.origin == want.origin
+    assert ball.size == len(want.adjacency)
+    assert ball.clipped == want.clipped
+    assert int(ball.clip.sum()) == len(want.clipped)
+    assert ball.fiber_edge_count == len(want.fiber_edges)
+    assert ball.gluing_edge_count == len(want.gluing_edges)
+    got_adj = ball.adjacency
+    assert got_adj.keys() == want.adjacency.keys()
+    for v, nbrs in want.adjacency.items():
+        assert Counter(got_adj[v]) == Counter(nbrs)
+        assert ball.degree(v) == len(nbrs)
+    assert int(ball.degrees.max()) == max(map(len, want.adjacency.values()))
+    assert (_growth_or_error(ball_growth, ball, rmax)
+            == _growth_or_error(oracle_ball_growth, want, rmax))
+
+
+def test_corpus_covers_clipped_origins_and_every_map_kind():
+    cases = _window_corpus()
+    kinds = set()
+    for spec, *_ in cases:
+        kinds.update(type(m).__name__ for m in spec._all_maps())
+    assert kinds == {"Translation", "Linear", "Affine", "Tabulated"}
+    assert {type(c[0].base).__name__ for c in cases} == {"str", "FiniteBase"}
+    assert {c[0].base for c in cases if isinstance(c[0].base, str)} == {
+        "line", "grid"}
+    clipped = [c for c in cases
+               if c[3] in oracle_total_space(*c[:4]).clipped]
+    assert len(clipped) >= 3
+
+
+def test_fibonacci_probes_keep_the_float_back_clip():
+    pair = FiniteBase(vertices=("a", "b"), edges=(("a", "b"),))
+    spec = GluingSpec(base=pair, fiber_dim=2, edge_map=Linear(_fib_matrix(31)))
+    ball = build_total_space(spec, None, 3, ((0, 0), "a"))
+    # det M = 1, so every point at b has the integral preimage adj(M) f and
+    # lacks its partner when that leaves the 7x7 box; the float solve misses
+    # 24 of them
+    m = _fib_matrix(31).rows
+    need = {((x, y), "b") for x in range(-3, 4) for y in range(-3, 4)
+            if max(abs(m[1][1] * x - m[0][1] * y),
+                   abs(m[0][0] * y - m[1][0] * x)) > 3}
+    assert len(need - ball.clipped) == 24
+    spec = GluingSpec(base=pair, fiber_dim=2, edge_map=Linear(_fib_matrix(41)))
+    with pytest.raises(np.linalg.LinAlgError):
+        build_total_space(spec, None, 3, ((0, 0), "a"))
+
+
+def _networkx_growth(ball, rmax):
+    graph = nx.MultiGraph()
+    graph.add_nodes_from(range(ball.size))
+    for i in range(ball.size):
+        for j in ball.indices[ball.indptr[i]:ball.indptr[i + 1]].tolist():
+            graph.add_edge(i, j)
+    dist = nx.single_source_shortest_path_length(
+        graph, ball.index(ball.origin), cutoff=rmax)
+    counts = tuple(sum(1 for d in dist.values() if d <= r)
+                   for r in range(rmax + 1))
+    min_clip = min((d for v, d in dist.items() if ball.clip[v]),
+                   default=math.inf)
+    return counts, tuple(r < min_clip for r in range(rmax + 1))
+
+
+@pytest.mark.parametrize("case", [c for c in _window_corpus()
+                                  if c[3] not in
+                                  oracle_total_space(*c[:4]).clipped][::4])
+def test_ball_growth_matches_networkx_distances(case):
+    spec, base_window, fiber_window, origin, rmax = case
+    ball = build_total_space(spec, base_window, fiber_window, origin)
+    series = ball_growth(ball, rmax)
+    assert (series.counts, series.flags) == _networkx_growth(ball, rmax)
+
+
+def test_non_bijective_message_names_both_preimages():
+    spec = GluingSpec(base="line", fiber_dim=1,
+                      edge_map=Tabulated(fn=lambda b, x: abs(x)))
+    with pytest.raises(NonBijectiveTabulated) as got:
+        build_total_space(spec, 3, 3, ((0,), 0))
+    assert str(got.value) == ("gluing over base edge (-3, -2) sends both "
+                              "(-1,) and (1,) to (1,)")
+    later = GluingSpec(base="line", fiber_dim=1, edge_map=Tabulated(
+        fn=lambda b, x: x if b < 1 else x // 2))
+    for gluing in (spec, later):
+        with pytest.raises(NonBijectiveTabulated) as got:
+            build_total_space(gluing, 3, 3, ((0,), 0))
+        with pytest.raises(NonBijectiveTabulated) as want:
+            oracle_total_space(gluing, 3, 3, ((0,), 0))
+        assert str(got.value) == str(want.value)
+
+
+def test_tabulated_fn_is_called_once_per_base_edge_and_point():
+    calls = Counter()
+
+    def fn(b, x):
+        calls[(b, x)] += 1
+        return x + 1
+
+    spec = GluingSpec(base="line", fiber_dim=1, edge_map=Tabulated(fn=fn))
+    build_total_space(spec, 3, 4, ((0,), 0))
+    assert calls == Counter({(b, x): 1 for b in range(-3, 3)
+                             for x in range(-4, 5)})
+    calls.clear()
+    multi = FiniteBase(vertices=("a", "b"),
+                       edges=(("a", "b"), ("a", "b"), ("b", "b")))
+    spec = GluingSpec(base=multi, fiber_dim=1, edge_map=Tabulated(fn=fn))
+    build_total_space(spec, None, 4, ((0,), "a"))
+    assert calls == Counter({(b, x): n for b, n in (("a", 2), ("b", 1))
+                             for x in range(-4, 5)})
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,15 @@ def test_subgroup_equiv_commensurable_lattices(capsys, sanov_file,
     assert out.startswith("Equivalent:")
 
 
+def test_subgroup_equiv_honours_the_budget(capsys, sanov_file):
+    code, out, _ = run(capsys, ["subgroup", "equiv", sanov_file, sanov_file,
+                                "--budget", "2", "--json"])
+    assert code == 2
+    report = json.loads(out)
+    assert report["parameters"]["budget"] == 2
+    assert report["verdict"]["kind"] == "Unknown"
+
+
 def test_subgroup_free_certificates(capsys, sanov_file, write_doc):
     code, out, _ = run(capsys, ["subgroup", "free", sanov_file])
     assert code == 0

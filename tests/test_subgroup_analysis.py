@@ -102,6 +102,13 @@ def test_equivalence_decisions():
     assert hausdorff_equivalent(SANOV, full).kind == "Equivalent"
 
 
+def test_equivalence_passes_its_budget_to_both_classes():
+    # two cosets are too few to close the index-6 enumeration, so neither
+    # class is a lattice and the pair cannot be called equivalent
+    assert hausdorff_equivalent(SANOV, SANOV).kind == "Equivalent"
+    assert hausdorff_equivalent(SANOV, SANOV, budget=2).kind == "Unknown"
+
+
 def test_equivalence_detects_determinant_mismatch():
     g1 = Gl2Subgroup((RatMatrix([[2, 0], [0, 1]]),))
     g2 = Gl2Subgroup((RatMatrix([[3, 0], [0, 1]]),))
