@@ -50,6 +50,13 @@ class Translation:
         return len(self.vector)
 
 
+def _integral_preimage(matrix: IntMatrix, f) -> Optional[tuple]:
+    vec = matrix.inverse().apply([Fraction(x) for x in f])
+    if any(x.denominator != 1 for x in vec):
+        return None
+    return tuple(int(x) for x in vec)
+
+
 @dataclass(frozen=True)
 class Linear:
     """Fiberwise invertible integer-linear map."""
@@ -66,11 +73,7 @@ class Linear:
                      for i in range(len(f)))
 
     def preimage(self, base_vertex, f: tuple) -> Optional[tuple]:
-        inv = self.matrix.to_rat().inverse()
-        vec = inv.apply([Fraction(x) for x in f])
-        if any(x.denominator != 1 for x in vec):
-            return None
-        return tuple(int(x) for x in vec)
+        return _integral_preimage(self.matrix, f)
 
     @property
     def dim(self) -> int:
@@ -95,12 +98,8 @@ class Affine:
         return tuple(x + t for x, t in zip(lin, self.vector))
 
     def preimage(self, base_vertex, f: tuple) -> Optional[tuple]:
-        shifted = [Fraction(x - t) for x, t in zip(f, self.vector)]
-        inv = self.matrix.to_rat().inverse()
-        vec = inv.apply(shifted)
-        if any(x.denominator != 1 for x in vec):
-            return None
-        return tuple(int(x) for x in vec)
+        return _integral_preimage(
+            self.matrix, [x - t for x, t in zip(f, self.vector)])
 
     @property
     def dim(self) -> int:
@@ -584,8 +583,6 @@ def growth_class(seq: Sequence[int], flags: Sequence[bool]) -> GrowthClass:
 
 
 def _as_float_matrix(m) -> np.ndarray:
-    if isinstance(m, IntMatrix):
-        return np.array([[float(x) for x in row] for row in m.rows])
     if hasattr(m, "to_float"):
         return np.array(m.to_float())
     return np.array(m, dtype=float)

@@ -60,10 +60,8 @@ def _jsonable(obj) -> Any:
         return obj
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, IntMatrix):
-        return [list(row) for row in obj.rows]
-    if isinstance(obj, RatMatrix):
-        return [[str(x) for x in row] for row in obj.rows]
+    if isinstance(obj, RatMatrix):  # IntMatrix rows stay ints
+        return [[_jsonable(x) for x in row] for row in obj.rows]
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):

@@ -1,15 +1,19 @@
 """Exact matrix algebra over Q plus the float-only symmetric-space helpers.
 
-Exact paths (determinants, inverses, Hermite form, word evaluation and the
-word ball of a generating set) run on `fractions.Fraction` and never touch
-floats.  The one float operation, `gl_distance`, is numerical by nature and
-says so.
+A matrix is stored as its size n, a flat row-major tuple of Python-int
+numerators and one positive common denominator, reduced so that integral
+matrices have denominator 1.  Exact paths (products, determinants, inverses,
+Hermite form, word evaluation and the word ball of a generating set) run on
+those ints and never touch floats; `rows` and `m[i, j]` are exact
+`fractions.Fraction` views.  The one float operation, `gl_distance`, is
+numerical by nature and says so.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -18,60 +22,122 @@ from .errors import RankMismatch, SingularMatrix
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class RatMatrix:
-    """Immutable square matrix over Q.
+@lru_cache(maxsize=None)
+def _eye(n: int) -> tuple[int, ...]:
+    return tuple(int(i == j) for i in range(n) for j in range(n))
 
-    Entries are Fractions; all arithmetic is exact.  Instances are hashable so
-    they can be interned (holonomy labels are deduplicated heavily).
+
+def _int_rows(nums: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(nums[i:i + n] for i in range(0, n * n, n))
+
+
+def _int_det(a: tuple[int, ...], n: int) -> int:
+    """Determinant of an integer matrix: closed form for n <= 2, else
+    fraction-free (Bareiss) elimination, whose divisions are all exact."""
+    if n == 2:
+        return a[0] * a[3] - a[1] * a[2]
+    if n < 2:
+        return a[0] if n else 1
+    m = [list(row) for row in _int_rows(a, n)]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+class RatMatrix:
+    """Square matrix over Q, immutable by convention (like Fraction).
+
+    ``nums`` holds the n*n integer numerators row by row and ``den`` their
+    positive common denominator, with gcd(den, *nums) == 1; all arithmetic
+    is exact.  Instances are hashable so they can be interned (holonomy
+    labels are deduplicated heavily); the hash is that of ``rows``.
     """
 
-    __slots__ = ("rows", "n", "_hash")
+    __slots__ = ("n", "nums", "den", "_rows", "_hash")
+    _coerce = staticmethod(_as_fraction)
 
     def __init__(self, rows: Sequence[Sequence]):
         n = len(rows)
-        tup = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
-        for row in tup:
+        entries = []
+        for row in rows:
             if len(row) != n:
                 raise RankMismatch(f"expected a square matrix, got row of length {len(row)} in size {n}")
-        object.__setattr__(self, "rows", tup)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_hash", hash(tup))
+            entries.extend(x if isinstance(x, int) else self._coerce(x) for x in row)
+        den = math.lcm(*(x.denominator for x in entries))
+        nums = tuple(x.numerator * (den // x.denominator) for x in entries)
+        self.n, self.nums, self.den, self._rows, self._hash = n, nums, den, None, None
 
-    def __setattr__(self, *a):
-        raise AttributeError("RatMatrix is immutable")
+    @classmethod
+    def _make(cls, n: int, nums: tuple[int, ...], den: int = 1):
+        """The matrix nums / den, reduced to lowest terms."""
+        if den != 1:
+            if den < 0:
+                den, nums = -den, tuple(-x for x in nums)
+            g = math.gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = tuple(x // g for x in nums)
+        m = object.__new__(cls)
+        m.n, m.nums, m.den, m._rows, m._hash = n, nums, den, None, None
+        return m
 
     # -- constructors -------------------------------------------------
 
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+    @classmethod
+    def identity(cls, n: int):
+        return cls._make(n, _eye(n))
 
     @staticmethod
-    def diagonal(values: Sequence) -> "RatMatrix":
-        vals = [_as_fraction(v) for v in values]
-        n = len(vals)
-        return RatMatrix([[vals[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+    def diagonal(values: Iterable) -> "RatMatrix":
+        vals = list(values)
+        return RatMatrix([[v if i == j else 0 for j in range(len(vals))] for i, v in enumerate(vals)])
+
+    # -- entry views ---------------------------------------------------
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        rows = self._rows
+        if rows is None:
+            den = self.den
+            rows = tuple(tuple(self._scalar(x, den) for x in row) for row in _int_rows(self.nums, self.n))
+            self._rows = rows
+        return rows
+
+    def _scalar(self, num: int, den: int):
+        """The exact value num / den as an entry of this class."""
+        return Fraction(num, den)
 
     # -- basic protocol ------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self.rows == other.rows
+        # an IntMatrix never equals a RatMatrix, whatever its entries
+        return type(other) is type(self) and self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            # int rows hash like the Fraction rows they equal
+            self._hash = h = hash(_int_rows(self.nums, self.n) if self.den == 1 else self.rows)
+        return h
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
-        return f"RatMatrix[{body}]"
+        return f"{type(self).__name__}[{body}]"
 
     def __getitem__(self, ij):
         i, j = ij
@@ -80,73 +146,67 @@ class RatMatrix:
     # -- arithmetic ----------------------------------------------------
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.n != other.n:
-            raise RankMismatch("matrix sizes differ")
         n = self.n
-        a, b = self.rows, other.rows
-        return RatMatrix(
-            [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        )
+        if n != other.n:
+            raise RankMismatch("matrix sizes differ")
+        a, b = self.nums, other.nums
+        if n == 2:
+            a0, a1, a2, a3 = a
+            b0, b1, b2, b3 = b
+            nums = (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3,
+                    a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
+        elif n == 1:
+            nums = (a[0] * b[0],)
+        else:
+            cols = [b[j::n] for j in range(n)]
+            nums = tuple(sum(x * y for x, y in zip(a[i:i + n], col))
+                         for i in range(0, n * n, n) for col in cols)
+        cls = type(self) if type(other) is type(self) else RatMatrix
+        return cls._make(n, nums, self.den * other.den)
 
     def __mul__(self, scalar) -> "RatMatrix":
         s = _as_fraction(scalar)
-        return RatMatrix([[x * s for x in row] for row in self.rows])
+        return RatMatrix._make(self.n, tuple(x * s.numerator for x in self.nums),
+                               self.den * s.denominator)
 
     __rmul__ = __mul__
 
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix([[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix([[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        den = math.lcm(self.den, other.den)
+        p, q = den // self.den, den // other.den
+        return RatMatrix._make(self.n, tuple(x * p + y * q for x, y in zip(self.nums, other.nums)), den)
+
+    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
+        return self + other * -1
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(list(zip(*self.rows)))
+        n = self.n
+        return RatMatrix._make(n, tuple(x for j in range(n) for x in self.nums[j::n]), self.den)
 
     def trace(self) -> Fraction:
-        return sum(self.rows[i][i] for i in range(self.n))
+        return self._scalar(sum(self.nums[::self.n + 1]), self.den)
 
     def determinant(self) -> Fraction:
-        # Exact Gaussian elimination; partial pivot on the first nonzero entry.
-        n = self.n
-        m = [list(row) for row in self.rows]
-        det = Fraction(1)
-        for c in range(n):
-            pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != c:
-                m[c], m[pivot] = m[pivot], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                if m[r][c] != 0:
-                    f = m[r][c] * inv
-                    for k in range(c, n):
-                        m[r][k] -= f * m[c][k]
-        return det
+        return self._scalar(_int_det(self.nums, self.n), self.den ** self.n)
 
     def inverse(self) -> "RatMatrix":
-        n = self.n
-        m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.rows)]
-        for c in range(n):
-            pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if pivot is None:
-                raise SingularMatrix("matrix is singular")
-            m[c], m[pivot] = m[pivot], m[c]
-            inv = 1 / m[c][c]
-            m[c] = [x * inv for x in m[c]]
-            for r in range(n):
-                if r != c and m[r][c] != 0:
-                    f = m[r][c]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-        return RatMatrix([row[n:] for row in m])
+        # (N / d)^-1 = d adj(N) / det(N), all on the integer numerators N
+        n, a = self.n, self.nums
+        det = _int_det(a, n)
+        if det == 0:
+            raise SingularMatrix("matrix is singular")
+        if n == 2:
+            adj = (a[3], -a[1], -a[2], a[0])
+        else:  # adj[i][j] is the signed minor of entry (j, i)
+            adj = tuple((-1) ** (i + j) * _int_det(tuple(
+                a[r * n + c] for r in range(n) if r != j for c in range(n) if c != i), n - 1)
+                for i in range(n) for j in range(n))
+        return RatMatrix._make(n, tuple(x * self.den for x in adj), det)
 
     def pow(self, k: int) -> "RatMatrix":
         if k < 0:
             return self.inverse().pow(-k)
-        out = RatMatrix.identity(self.n)
+        out = type(self).identity(self.n)
         base = self
         while k:
             if k & 1:
@@ -158,78 +218,48 @@ class RatMatrix:
     def apply(self, vec: Sequence) -> tuple:
         """Exact matrix-vector product (column vector)."""
         v = [_as_fraction(x) for x in vec]
-        if len(v) != self.n:
+        n = self.n
+        if len(v) != n:
             raise RankMismatch("vector length differs from matrix size")
-        return tuple(sum(row[j] * v[j] for j in range(self.n)) for row in self.rows)
+        a, den = self.nums, self.den
+        return tuple(sum(x * y for x, y in zip(a[i:i + n], v)) / den for i in range(0, n * n, n))
 
     def is_identity(self) -> bool:
-        return all(self.rows[i][j] == (1 if i == j else 0) for i in range(self.n) for j in range(self.n))
+        return self.den == 1 and self.nums == _eye(self.n)
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.rows for x in row)
+        return self.den == 1
 
     def to_int_matrix(self) -> "IntMatrix":
-        if not self.is_integral():
+        if self.den != 1:
             raise ValueError("matrix has non-integer entries")
-        return IntMatrix([[int(x) for x in row] for row in self.rows])
+        return IntMatrix._make(self.n, self.nums)
 
     def to_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
+        # int / int rounds correctly, exactly like float(Fraction)
+        return np.array([x / self.den for x in self.nums], dtype=float).reshape(self.n, self.n)
 
 
-class IntMatrix:
-    """Immutable square integer matrix (fiber-lattice maps)."""
+class IntMatrix(RatMatrix):
+    """Square integer matrix (fiber-lattice maps).
 
-    __slots__ = ("rows", "n", "_hash")
+    A RatMatrix fixed at denominator 1 whose entry views (``rows``,
+    ``m[i, j]``, ``determinant``) are ints.  It never equals a RatMatrix.
+    """
 
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        n = len(rows)
-        tup = tuple(tuple(int(x) for x in row) for row in rows)
-        for row in tup:
-            if len(row) != n:
-                raise RankMismatch(f"expected a square matrix, got row of length {len(row)} in size {n}")
-        object.__setattr__(self, "rows", tup)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_hash", hash(tup))
+    __slots__ = ()
+    _coerce = int
+    # its own entry, so that per-class wrappers of the product see it
+    __matmul__ = RatMatrix.__matmul__
 
-    def __setattr__(self, *a):
-        raise AttributeError("IntMatrix is immutable")
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
-        return f"IntMatrix[{body}]"
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.n != other.n:
-            raise RankMismatch("matrix sizes differ")
-        n = self.n
-        a, b = self.rows, other.rows
-        return IntMatrix(
-            [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        )
-
-    def determinant(self) -> int:
-        return int(self.to_rat().determinant())
+    def _scalar(self, num: int, den: int) -> int:
+        return num
 
     def is_unimodular(self) -> bool:
         return abs(self.determinant()) == 1
 
     def to_rat(self) -> RatMatrix:
-        return RatMatrix(self.rows)
+        return RatMatrix._make(self.n, self.nums)
 
 
 def lattice_index(m: IntMatrix) -> int:
@@ -300,18 +330,11 @@ def evaluate_word(word: Iterable[Letter], gens: Sequence[RatMatrix]) -> RatMatri
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    n = gens[0].n
-    out = RatMatrix.identity(n)
-    inverses: dict[int, RatMatrix] = {}
+    out = RatMatrix.identity(gens[0].n)
     for idx, exp in word:
-        if exp == 1:
-            out = out @ gens[idx]
-        elif exp == -1:
-            if idx not in inverses:
-                inverses[idx] = gens[idx].inverse()
-            out = out @ inverses[idx]
-        else:
+        if exp not in (1, -1):
             raise ValueError(f"exponent must be +1 or -1, got {exp}")
+        out = out @ (gens[idx] if exp == 1 else gens[idx].inverse())
     return out
 
 

@@ -41,7 +41,7 @@ class Edge:
     incl_tau: IntMatrix
 
     def crossing(self) -> RatMatrix:
-        return self.incl_tau.to_rat() @ self.incl_iota.to_rat().inverse()
+        return self.incl_tau @ self.incl_iota.inverse()
 
 
 @dataclass(frozen=True)
@@ -215,10 +215,10 @@ def collapse_edge(g: GraphOfGroups, edge_id: str) -> GraphOfGroups:
         raise LoopEdge(f"edge {edge_id!r} is a loop")
     if e.incl_tau.is_unimodular():
         survivor, removed = e.iota, e.tau
-        cob = (e.incl_iota.to_rat() @ e.incl_tau.to_rat().inverse()).to_int_matrix()
+        cob = (e.incl_iota @ e.incl_tau.inverse()).to_int_matrix()
     elif e.incl_iota.is_unimodular():
         survivor, removed = e.tau, e.iota
-        cob = (e.incl_tau.to_rat() @ e.incl_iota.to_rat().inverse()).to_int_matrix()
+        cob = (e.incl_tau @ e.incl_iota.inverse()).to_int_matrix()
     else:
         raise NoUnimodularEnd(f"edge {edge_id!r} has no unimodular end")
     new_edges = []
@@ -281,10 +281,10 @@ def detect_ascending_hnn(g: GraphOfGroups) -> Optional[AscendingHnnForm]:
     if e.iota != e.tau:
         return None
     if e.incl_iota.is_unimodular():
-        endo = (e.incl_tau.to_rat() @ e.incl_iota.to_rat().inverse()).to_int_matrix()
+        endo = (e.incl_tau @ e.incl_iota.inverse()).to_int_matrix()
         iso_end = "iota"
     elif e.incl_tau.is_unimodular():
-        endo = (e.incl_iota.to_rat() @ e.incl_tau.to_rat().inverse()).to_int_matrix()
+        endo = (e.incl_iota @ e.incl_tau.inverse()).to_int_matrix()
         iso_end = "tau"
     else:
         return None

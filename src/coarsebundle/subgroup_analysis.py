@@ -144,7 +144,8 @@ class Gl2Subgroup:
 
 
 def _is_scalar(g: RatMatrix) -> bool:
-    return g[0, 1] == 0 and g[1, 0] == 0 and g[0, 0] == g[1, 1]
+    a = g.nums
+    return a[1] == a[2] == 0 and a[0] == a[3]
 
 
 def _projective_character(g: RatMatrix) -> Fraction:
@@ -174,14 +175,8 @@ def _torsion_power(g: RatMatrix) -> Optional[int]:
 
 
 def _symmetric_basis(n: int) -> list[RatMatrix]:
-    basis = []
-    for i in range(n):
-        for j in range(i, n):
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            rows[i][j] = Fraction(1)
-            rows[j][i] = Fraction(1)
-            basis.append(RatMatrix(rows))
-    return basis
+    return [RatMatrix([[int({r, c} == {i, j}) for c in range(n)] for r in range(n)])
+            for i in range(n) for j in range(i, n)]
 
 
 def _is_positive_definite(q: RatMatrix) -> bool:
@@ -306,14 +301,7 @@ class ElementaryType:
 
 
 def _primitive_direction(x: Fraction, y: Fraction) -> tuple[int, int]:
-    den = x.denominator * y.denominator // math.gcd(x.denominator, y.denominator)
-    a, b = int(x * den), int(y * den)
-    g = math.gcd(abs(a), abs(b))
-    if g:
-        a, b = a // g, b // g
-    if a < 0 or (a == 0 and b < 0):
-        a, b = -a, -b
-    return a, b
+    return _primitive_tuple((x, y)) or (0, 0)
 
 
 def _parabolic_fixed_direction(g: RatMatrix) -> tuple[int, int]:
@@ -327,8 +315,7 @@ def _parabolic_fixed_direction(g: RatMatrix) -> tuple[int, int]:
 
 
 def _fixes_direction(g: RatMatrix, v: tuple[int, int]) -> bool:
-    x = g[0, 0] * v[0] + g[0, 1] * v[1]
-    y = g[1, 0] * v[0] + g[1, 1] * v[1]
+    x, y = g.apply(v)
     return x * v[1] == y * v[0]
 
 
@@ -422,8 +409,7 @@ def modular_word(m: RatMatrix) -> list[int]:
     if not m.is_integral() or m.determinant() != 1:
         raise NotInLattice(
             "only integer matrices of determinant one have modular words")
-    a, b = int(m[0, 0]), int(m[0, 1])
-    c, d = int(m[1, 0]), int(m[1, 1])
+    a, b, c, d = m.nums
 
     parts: list[tuple[str, int]] = []
     while c != 0:
@@ -901,18 +887,8 @@ class HausdorffClass:
 def _primitive_integer_form(g: RatMatrix) -> tuple[IntMatrix, int]:
     """Clear denominators and content: the primitive integer matrix on the
     same projective ray, plus its determinant."""
-    den = 1
-    for i in range(2):
-        for j in range(2):
-            den = den * g[i, j].denominator // math.gcd(den, g[i, j].denominator)
-    ints = [[int(g[i, j] * den) for j in range(2)] for i in range(2)]
-    content = 0
-    for row in ints:
-        for x in row:
-            content = math.gcd(content, abs(x))
-    if content > 1:
-        ints = [[x // content for x in row] for row in ints]
-    m = IntMatrix(ints)
+    content = math.gcd(*g.nums) or 1
+    m = IntMatrix([[x // content for x in g.nums[i:i + 2]] for i in (0, 2)])
     return m, m.determinant()
 
 
@@ -955,8 +931,7 @@ def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
 
 def _direction_multiplier(g: RatMatrix, v: tuple[int, int]) -> Fraction:
     """lambda^2/det for the eigenvalue lambda of g along direction v."""
-    x = g[0, 0] * v[0] + g[0, 1] * v[1]
-    y = g[1, 0] * v[0] + g[1, 1] * v[1]
+    x, y = g.apply(v)
     lam = Fraction(x, v[0]) if v[0] != 0 else Fraction(y, v[1])
     return lam * lam / g.determinant()
 
@@ -1217,13 +1192,9 @@ class LineVerdict:
 def _primitive_tuple(vec: Sequence[Fraction]) -> Optional[tuple[int, ...]]:
     if all(x == 0 for x in vec):
         return None
-    den = 1
-    for x in vec:
-        den = den * x.denominator // math.gcd(den, x.denominator)
+    den = math.lcm(*(x.denominator for x in vec))
     ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
+    g = math.gcd(*ints)
     ints = [x // g for x in ints]
     lead = next(x for x in ints if x != 0)
     if lead < 0:
@@ -1259,7 +1230,7 @@ def rational_line_test(v: Sequence, tol: float = 1e-10,
         direction = None
         if nonzero:
             idx = nonzero[0]
-            inv = trace.transform.to_rat().inverse()
+            inv = trace.transform.inverse()
             col = [inv[r, idx] for r in range(inv.n)]
             direction = _primitive_tuple(col)
         return LineVerdict(kind="OnRationalLine", direction=direction,

@@ -27,7 +27,7 @@ from .subgroup_analysis import (FreenessCertificate, Gl1Class, Gl2Subgroup,
 
 DEFAULT_DEPTH = 6
 INTERIOR_MARGIN = 2
-_FINITE_CLOSURE_CAP = 64
+_FINITE_CLOSURE_CAP = 12
 
 KIND_PROPER = "Proper"
 KIND_PARABOLIC = "Parabolic"
@@ -73,10 +73,16 @@ class TrichotomyVerdict:
 def _finite_image(gens: list[RatMatrix]) -> bool:
     """Exact finiteness of the generated matrix group by closure search.
 
-    A finite multiplicative closure is a group (powers of each element cycle),
-    and rational 2x2 groups that are infinite blow past the cap quickly, so a
-    small cap decides the dichotomy for the ranks where it is used.
+    A finite multiplicative closure is a group (powers of each element cycle).
+    Every finite subgroup of GL_2(Q) is conjugate into GL_2(Z) and has order
+    at most 12, and every finite subgroup of GL_1(Q) order at most 2 (Newman,
+    *Integral Matrices*, 1972, Ch. IX).  So a closure that passes 12 elements
+    is infinite, and the cap decides the dichotomy exactly at rank <= 2; no
+    such bound is used above rank 2.
     """
+    if gens and gens[0].n > 2:
+        raise RankUnsupported("finite-image closure search is exact only at "
+                              "rank <= 2")
     ball = islice(word_ball(gens), _FINITE_CLOSURE_CAP + 1)
     return sum(1 for _ in ball) <= _FINITE_CLOSURE_CAP
 

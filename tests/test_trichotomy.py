@@ -6,7 +6,7 @@ from coarsebundle.bass_serre import (IOTA_SIDE, TAU_SIDE, _state_coverage,
                                      build_ball, carries_holonomy, halfspace,
                                      projected_ball_sizes, resolve_vertex_cap)
 from coarsebundle.core_algebra import IntMatrix, RatMatrix, gl_distance
-from coarsebundle.errors import BallTooLarge
+from coarsebundle.errors import BallTooLarge, RankUnsupported
 from coarsebundle.graph_of_groups import (Edge, GraphOfGroups, bs,
                                           modular_holonomy, semidirect)
 from coarsebundle.trichotomy import (INTERIOR_MARGIN, EdgeCoverage,
@@ -42,12 +42,21 @@ def _permutation(cycle_lengths):
     return RatMatrix([[int(image[i] == j) for j in range(n)] for i in range(n)])
 
 
-def test_finite_image_accepts_64_elements_and_rejects_65():
-    sign_flips = [RatMatrix.diagonal([-1 if j == i else 1 for j in range(6)])
-                  for i in range(6)]
-    assert _finite_image(sign_flips)  # (Z/2)^6 has 64 elements
-    # a 5-cycle beside a 13-cycle generates a cyclic group of order 65
-    assert not _finite_image([_permutation([5, 13])])
+def test_finite_image_is_exact_at_the_order_twelve_bound():
+    # the hexagon's symmetries, D6 in GL2(Z): 12 elements, the largest
+    # finite subgroup of GL2(Q)
+    rotation = RatMatrix([[1, -1], [1, 0]])
+    assert _finite_image([rotation, RatMatrix([[0, 1], [1, 0]])])
+    assert _finite_image([RatMatrix([[-1]])])
+    # the smallest infinite cases: a shear, a dilation, and the order-6
+    # rotation with a reflection that preserves no common form
+    assert not _finite_image([RatMatrix([[1, 1], [0, 1]])])
+    assert not _finite_image([RatMatrix([[2]])])
+    assert not _finite_image([rotation, RatMatrix.diagonal([-1, 1])])
+    # the bound is exact only at rank <= 2; a 5-cycle beside a 13-cycle
+    # generates a finite group of order 65
+    with pytest.raises(RankUnsupported):
+        _finite_image([_permutation([5, 13])])
 
 
 def test_strict_ascent_is_parabolic_with_endomorphism():
