@@ -5,10 +5,10 @@ rationals are classified exactly (trivial, discrete with a canonical
 generator, or dense) through integer linear algebra on prime exponent
 vectors.  Second, subgroups of GL2(Q) are sorted into the coarse classes
 that matter for holonomy comparison: bounded, parabolic or hyperbolic
-elementary, lattice (finite index in the modular group, decided by coset
-enumeration), free Schottky-type with a ping-pong certificate, or honest
-Unknown.  Third, a greedy integer-matrix orbit reduction drives the
-rational-line test for vectors.
+elementary, lattice (finite index in the modular group, decided by a
+Stallings fold that also proves infinite index), free Schottky-type with a
+ping-pong certificate, or honest Unknown.  Third, a greedy integer-matrix
+orbit reduction drives the rational-line test for vectors.
 
 Rational inputs are decided exactly; float reasoning is certificate-based
 or returns Unknown.
@@ -28,7 +28,7 @@ import numpy as np
 from .core_algebra import IntMatrix, Letter, RatMatrix, word_ball
 from .errors import DimensionTooSmall, NotInLattice, ZeroValue
 
-TODD_COXETER_BUDGET = 100_000
+COSET_BUDGET = 100_000
 _FORM_CLOSURE_CAP = 256
 _HALF = Fraction(1, 2)
 
@@ -385,7 +385,7 @@ def elementary_type(group: Gl2Subgroup, product_depth: int = 4) -> ElementaryTyp
 
 
 # ---------------------------------------------------------------------------
-# the modular group: rewriting and coset enumeration
+# the modular group: rewriting and Stallings folding
 
 MOD_S = RatMatrix([[0, -1], [1, 0]])
 MOD_T_GEN = RatMatrix([[0, -1], [1, -1]])  # order three
@@ -437,116 +437,22 @@ def modular_word(m: RatMatrix) -> list[int]:
     return letters
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-class _CosetTable:
-    """Coset enumeration over <s, t | s^2, t^3> with a node budget.
-
-    Relator scanning in fixed order with immediate filling; coincidences
-    processed through union-find merges.  Deterministic for fixed input.
-    """
-
-    RELATORS = ((_L_S, _L_S), (_L_T, _L_T, _L_T))
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.table: list[list[Optional[int]]] = [[None, None, None]]
-        self.rep = [0]
-        self.queue: list[tuple[int, int]] = []
-        self.defined = 1
-
-    def find(self, x: int) -> int:
-        while self.rep[x] != x:
-            self.rep[x] = self.rep[self.rep[x]]
-            x = self.rep[x]
-        return x
-
-    def _define(self, c: int, a: int) -> int:
-        if self.defined >= self.budget:
-            raise _BudgetExceeded()
-        d = len(self.table)
-        self.table.append([None, None, None])
-        self.rep.append(d)
-        self.defined += 1
-        self._deduce(c, a, d)
-        return d
-
-    def _deduce(self, c: int, a: int, d: int) -> None:
-        for (x, letter, y) in ((c, a, d), (d, _INV[a], c)):
-            cur = self.table[x][letter]
-            if cur is None:
-                self.table[x][letter] = y
-            elif self.find(cur) != self.find(y):
-                self.queue.append((cur, y))
-        self._merge_pending()
-
-    def _merge_pending(self) -> None:
-        while self.queue:
-            u, v = self.queue.pop()
-            u, v = self.find(u), self.find(v)
-            if u == v:
-                continue
-            if v < u:
-                u, v = v, u
-            self.rep[v] = u
-            for letter in range(3):
-                w = self.table[v][letter]
-                if w is None:
-                    continue
-                cur = self.table[u][letter]
-                if cur is None:
-                    self.table[u][letter] = w
-                    back = self.table[self.find(w)][_INV[letter]]
-                    if back is None:
-                        self.table[self.find(w)][_INV[letter]] = u
-                    elif self.find(back) != self.find(u):
-                        self.queue.append((back, u))
-                elif self.find(cur) != self.find(w):
-                    self.queue.append((cur, w))
-
-    def scan_and_fill(self, c: int, word: Sequence[int]) -> None:
-        c = self.find(c)
-        f, fi = c, 0
-        b, bi = c, len(word)
-        while True:
-            while fi < bi:
-                nxt = self.table[self.find(f)][word[fi]]
-                if nxt is None:
-                    break
-                f, fi = self.find(nxt), fi + 1
-            if fi == bi:
-                if self.find(f) != self.find(b):
-                    self.queue.append((f, b))
-                    self._merge_pending()
-                return
-            while bi > fi:
-                prev = self.table[self.find(b)][_INV[word[bi - 1]]]
-                if prev is None:
-                    break
-                b, bi = self.find(prev), bi - 1
-            if fi == bi:
-                if self.find(f) != self.find(b):
-                    self.queue.append((f, b))
-                    self._merge_pending()
-                return
-            if bi - fi == 1:
-                self._deduce(self.find(f), word[fi], self.find(b))
-                return
-            self._define(self.find(f), word[fi])
-
-    def live_count(self) -> int:
-        return sum(1 for i in range(len(self.table)) if self.find(i) == i)
-
-
 @dataclass(frozen=True)
 class PslIndexResult:
-    """Outcome of coset enumeration: exact index, or a spent budget."""
+    """Outcome of folding: an exact index, a proof of infinite index, or a
+    spent vertex budget.
+
+    ``witness`` is (core vertex, missing letter "s" or "t") when the folded
+    core lacks an edge there, so an infinite tree hangs off that vertex and
+    the index is infinite.  It is None for a finite index and for a spent
+    budget, which is reported as InfiniteIndexOrUnknown and never as an
+    index.
+    """
 
     kind: str  # FiniteIndex | InfiniteIndexOrUnknown
     index: Optional[int]
     budget: int
+    witness: Optional[tuple[int, str]] = None
 
     @property
     def finite(self) -> bool:
@@ -554,47 +460,89 @@ class PslIndexResult:
 
 
 def classify_psl2z_subgroup(group: Gl2Subgroup,
-                            budget: int = TODD_COXETER_BUDGET) -> PslIndexResult:
+                            budget: int = COSET_BUDGET) -> PslIndexResult:
     """Index of the subgroup generated by integer determinant-one matrices
-    inside the modular group, by deterministic coset enumeration.
+    inside the modular group, by Stallings folding.
 
-    Completion certifies the exact finite index.  Hitting the node budget is
-    reported as such and never as a finite answer.
+    Each generator's modular word is read as a loop at vertex 0 and equal
+    labels are folded through union-find: s is an involution, t and t^-1
+    form a partial permutation, and every t-path x -> y -> z is closed by
+    z -> x (for a t 2-cycle, z = x and the two vertices collapse).  The
+    folded graph is the core of the coset graph of the subgroup.  If every
+    vertex has an s-edge and a t-edge, the index is the vertex count;
+    otherwise an infinite tree hangs off the missing edge, which is
+    returned as the witness of infinite index.  ``budget`` caps the
+    vertices created.
     """
-    words = [modular_word(g) for g in group.generators]
-    ct = _CosetTable(budget)
-    try:
-        for w in words:
-            ct.scan_and_fill(0, w)
-        scanned = 0
-        while True:
-            cosets = [i for i in range(len(ct.table)) if ct.find(i) == i]
-            if scanned >= len(cosets):
-                break
-            progress = False
-            for c in cosets[scanned:]:
-                if ct.find(c) != c:
-                    continue
-                for rel in _CosetTable.RELATORS:
-                    ct.scan_and_fill(c, rel)
-                for w in words:
-                    ct.scan_and_fill(0, w)
-                progress = True
-            scanned = len(cosets)
-            if not progress:
-                break
-        complete = all(
-            ct.table[i][a] is not None
-            for i in range(len(ct.table)) if ct.find(i) == i
-            for a in range(3))
-        if complete:
-            return PslIndexResult(kind="FiniteIndex", index=ct.live_count(),
-                                  budget=budget)
-        return PslIndexResult(kind="InfiniteIndexOrUnknown", index=None,
-                              budget=budget)
-    except _BudgetExceeded:
-        return PslIndexResult(kind="InfiniteIndexOrUnknown", index=None,
-                              budget=budget)
+    edges: list[list[Optional[int]]] = [[None, None, None]]  # s, t, t^-1
+    rep = [0]
+    pending: list[tuple[int, int]] = []
+
+    def find(x: int) -> int:
+        while rep[x] != x:
+            rep[x] = rep[rep[x]]
+            x = rep[x]
+        return x
+
+    def attach(x: int, a: int, y: int) -> None:
+        for u, b, v in ((x, a, y), (y, _INV[a], x)):
+            u = find(u)
+            cur = edges[u][b]
+            if cur is None:
+                edges[u][b] = v
+            elif find(cur) != find(v):
+                pending.append((cur, v))
+
+    def link(x: int, a: int, y: int) -> None:
+        attach(x, a, y)
+        while pending:
+            u, v = sorted(find(w) for w in pending.pop())
+            if u != v:
+                rep[v] = u
+                for b, w in enumerate(edges[v]):
+                    if w is not None:
+                        attach(u, b, w)
+
+    for g in group.generators:
+        word = modular_word(g)
+        x = 0
+        for a in word[:-1]:
+            nxt = edges[find(x)][a]
+            if nxt is None:
+                if len(rep) >= budget:
+                    return PslIndexResult(kind="InfiniteIndexOrUnknown",
+                                          index=None, budget=budget)
+                nxt = len(rep)
+                edges.append([None, None, None])
+                rep.append(nxt)
+                link(x, a, nxt)
+            x = nxt
+        if word:
+            link(x, word[-1], 0)
+
+    changed = True
+    while changed:
+        changed = False
+        for x in range(len(rep)):
+            y = edges[x][_L_T]
+            if find(x) != x or y is None:
+                continue
+            z = edges[find(y)][_L_T]
+            if z is None:
+                continue
+            w = edges[find(z)][_L_T]
+            if w is None or find(w) != x:
+                link(z, _L_T, x)
+                changed = True
+
+    core = [x for x in range(len(rep)) if find(x) == x]
+    for x in core:
+        for a, name in ((_L_S, "s"), (_L_T, "t")):
+            if edges[x][a] is None:
+                return PslIndexResult(kind="InfiniteIndexOrUnknown",
+                                      index=None, budget=budget,
+                                      witness=(x, name))
+    return PslIndexResult(kind="FiniteIndex", index=len(core), budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -937,15 +885,17 @@ def _direction_multiplier(g: RatMatrix, v: tuple[int, int]) -> Fraction:
 
 
 def hausdorff_class(group: Gl2Subgroup,
-                    budget: int = TODD_COXETER_BUDGET,
+                    budget: int = COSET_BUDGET,
                     pingpong_depth: int = 6) -> HausdorffClass:
     """Full coarse class: determinant leg plus norm-one leg.
 
     The norm-one leg runs: scalar check, boundedness, elementary types,
     shared-fixed-direction triangular analysis (an unbounded mixed group
     fixing one rational direction closes up to the full upper triangular
-    block, which acts cocompactly), then lattice detection by coset
-    enumeration, then a ping-pong Cantor certificate, and otherwise Unknown.
+    block, which acts cocompactly), then lattice detection by folding in
+    the modular group, then a ping-pong Cantor certificate, and otherwise
+    Unknown.  A modular group is called Cantor only when the fold proves
+    infinite index; a fold that spends ``budget`` vertices gives Unknown.
     """
     dets = [abs(g.determinant()) for g in group.generators]
     det_part = hausdorff_class_gl1(dets if dets else [1])
@@ -983,18 +933,14 @@ def _classify_nonelementary(gens: list[RatMatrix], budget: int,
             return Sl2Part(kind="ParabolicElementary")
         return Sl2Part(kind="FullGroup")
 
-    primitive = []
-    for g in gens:
-        m, det = _primitive_integer_form(g)
-        primitive.append((m, det))
+    primitive = [_primitive_integer_form(g) for g in gens]
     if all(det == 1 for _, det in primitive):
-        try:
-            proj = Gl2Subgroup([m.to_rat() for m, _ in primitive])
-            res = classify_psl2z_subgroup(proj, budget=budget)
-            if res.finite:
-                return Sl2Part(kind="Lattice", index=res.index)
-        except NotInLattice:
-            pass
+        res = classify_psl2z_subgroup(
+            Gl2Subgroup([m.to_rat() for m, _ in primitive]), budget=budget)
+        if res.finite:
+            return Sl2Part(kind="Lattice", index=res.index)
+        if res.witness is None:
+            return Sl2Part(kind="Unknown")
 
     cert = free_injectivity(gens, depth=pingpong_depth)
     if cert.kind == "PingPong" and cert.cones is not None:
@@ -1013,7 +959,7 @@ class EquivalenceVerdict:
 def hausdorff_equivalent(g1: Gl2Subgroup, g2: Gl2Subgroup,
                          conjugator: Optional[RatMatrix] = None,
                          search_depth: int = 5,
-                         budget: int = TODD_COXETER_BUDGET
+                         budget: int = COSET_BUDGET
                          ) -> EquivalenceVerdict:
     """Compare the coarse classes of two GL2(Q) subgroups.
 
@@ -1022,8 +968,8 @@ def hausdorff_equivalent(g1: Gl2Subgroup, g2: Gl2Subgroup,
     modular group are commensurable, and elementary classes of the same kind
     are conjugate up to bounded distance).  Matching Cantor-type classes stay
     Unknown unless a conjugator is supplied that verifiably carries one
-    generator set into the group generated by the other.  ``budget`` bounds
-    the coset enumeration of each class, as in `hausdorff_class`.
+    generator set into the group generated by the other.  ``budget`` caps
+    the fold of each class, as in `hausdorff_class`.
     """
     c1 = hausdorff_class(g1, budget=budget)
     c2 = hausdorff_class(g2, budget=budget)

@@ -247,6 +247,14 @@ def test_subgroup_class_reports_lattice_index(capsys, sanov_file, full_file):
     assert out == "Lattice(1), det Trivial\n"
 
 
+def test_subgroup_class_reports_a_spent_budget_as_unknown(capsys,
+                                                         sanov_file):
+    code, out, _ = run(capsys, ["subgroup", "class", sanov_file,
+                                "--budget", "2"])
+    assert code == 2
+    assert out == "Unknown, det Trivial\n"
+
+
 def test_subgroup_equiv_commensurable_lattices(capsys, sanov_file,
                                                full_file):
     code, out, _ = run(capsys, ["subgroup", "equiv", sanov_file, full_file])

@@ -3,6 +3,8 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import matmul
 
 import pytest
 import sympy
@@ -21,6 +23,7 @@ from coarsebundle.subgroup_analysis import (
     orbit_reduce,
     rational_line_test,
 )
+from test_acceptance import _oracle_todd_coxeter
 
 
 S = RatMatrix([[0, -1], [1, 0]])
@@ -107,6 +110,15 @@ def test_equivalence_passes_its_budget_to_both_classes():
     # class is a lattice and the pair cannot be called equivalent
     assert hausdorff_equivalent(SANOV, SANOV).kind == "Equivalent"
     assert hausdorff_equivalent(SANOV, SANOV, budget=2).kind == "Unknown"
+
+
+def test_a_spent_fold_budget_is_unknown_not_cantor():
+    # ping-pong proves the Sanov pair free, not of infinite index
+    assert hausdorff_class(SANOV, budget=2).sl2_part.kind == "Unknown"
+    t5u5 = Gl2Subgroup((RatMatrix([[1, 5], [0, 1]]),
+                        RatMatrix([[1, 0], [5, 1]])))
+    assert classify_psl2z_subgroup(t5u5).witness is not None
+    assert hausdorff_class(t5u5).sl2_part.kind == "NonElementaryCantor"
 
 
 def test_equivalence_detects_determinant_mismatch():
@@ -251,7 +263,7 @@ def test_rational_line_verdicts():
 
 
 # ---------------------------------------------------------------------------
-# modular coset enumeration
+# modular folding
 
 
 def test_psl2z_index_oracles():
@@ -266,6 +278,81 @@ def test_psl2z_budget_exhaustion_is_reported_as_such():
         assert r.kind == "InfiniteIndexOrUnknown"
         assert r.index is None
         assert r.budget == budget
+        assert r.witness is not None
+    # two vertices cannot hold the index-6 core: a spent budget, no proof
+    starved = classify_psl2z_subgroup(SANOV, budget=2)
+    assert starved.kind == "InfiniteIndexOrUnknown"
+    assert starved.index is None
+    assert starved.witness is None
+
+
+def _transitive_action(rng, n):
+    """A seeded involution s and order-three t acting transitively on n
+    points, as image lists."""
+    while True:
+        s, t = list(range(n)), list(range(n))
+        pts = rng.sample(range(n), n)
+        for i in range(rng.randint(0, n // 2)):
+            a, b = pts[2 * i:2 * i + 2]
+            s[a], s[b] = b, a
+        pts = rng.sample(range(n), n)
+        for i in range(rng.randint(0, n // 3)):
+            a, b, c = pts[3 * i:3 * i + 3]
+            t[a], t[b], t[c] = b, c, a
+        seen, stack = {0}, [0]
+        while stack:
+            p = stack.pop()
+            for q in (s[p], t[p]):
+                if q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        if len(seen) == n:
+            return s, t
+
+
+def test_psl2z_fold_index_of_transitive_actions():
+    # PSL2(Z) = <s> * <t> with s = S and t = [[0,-1],[1,1]] (S t = -T), so
+    # the stabilizer of point 0 in a transitive action on n points has
+    # index n; Schreier's lemma gives its generators from a spanning tree
+    gens = {0: S, 1: RatMatrix([[0, -1], [1, 1]])}
+    rng = random.Random(20260407)
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        action = _transitive_action(rng, n)
+        tree, order = {0: RatMatrix.identity(2)}, [0]
+        for p in order:
+            for x, perm in enumerate(action):
+                if perm[p] not in tree:
+                    tree[perm[p]] = tree[p] @ gens[x]
+                    order.append(perm[p])
+        schreier = [tree[p] @ gens[x] @ tree[perm[p]].inverse()
+                    for p in order for x, perm in enumerate(action)]
+        r = classify_psl2z_subgroup(Gl2Subgroup(schreier))
+        assert (r.kind, r.index) == ("FiniteIndex", n)
+
+
+def test_psl2z_fold_agrees_with_the_standalone_enumerator():
+    letters = {"s": S, "S": S.inverse(), "t": T, "T": T.inverse()}
+    rng = random.Random(20260408)
+    closed = 0
+    for _ in range(300):
+        words = tuple("".join(rng.choice("sStT")
+                              for _ in range(rng.randint(1, 8)))
+                      for _ in range(rng.randint(1, 3)))
+        group = Gl2Subgroup([reduce(matmul, (letters[x] for x in w))
+                             for w in words])
+        r = classify_psl2z_subgroup(group)
+        try:
+            oracle = _oracle_todd_coxeter(("ss", "ststst"), words, ("s", "t"))
+        except (RuntimeError, AssertionError):
+            # the enumerator did not close: its coset limit, or its final
+            # completeness check
+            assert r.kind == "InfiniteIndexOrUnknown"
+            assert r.witness is not None
+            continue
+        closed += 1
+        assert (r.kind, r.index) == ("FiniteIndex", oracle)
+    assert 100 < closed < 250
 
 
 def test_psl2z_rejects_nonmodular_input():
