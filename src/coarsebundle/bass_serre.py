@@ -389,11 +389,12 @@ def _distance_table(labels_a, labels_b) -> np.ndarray:
         lb = np.array([np.log(abs(m.to_float()[0, 0])) for m in labels_b])
         return np.abs(la[:, None] - lb[None, :])
     if n == 2:
-        fa = _labels_to_float(labels_a)
+        # exact inverses and determinants: long products of integer labels
+        # can be singular in float64
+        inv_a = _labels_to_float([m.inverse() for m in labels_a])
         fb = _labels_to_float(labels_b)
-        inv_a = np.linalg.inv(fa)
-        det_a = np.linalg.det(fa)
-        det_b = np.linalg.det(fb)
+        det_a = np.array([float(m.determinant()) for m in labels_a])
+        det_b = np.array([float(m.determinant()) for m in labels_b])
         out = np.empty((ka, kb))
         # chunk rows so the (rows, kb, 2, 2) product block stays small
         chunk = max(1, int(2_000_000 // max(kb, 1)))

@@ -262,60 +262,6 @@ class IntMatrix(RatMatrix):
         return RatMatrix._make(self.n, self.nums)
 
 
-def lattice_index(m: IntMatrix) -> int:
-    """Index of the sublattice m(Z^n) in Z^n, i.e. |det m|.
-
-    Raises SingularMatrix when det is 0 (the image is not finite index).
-    """
-    d = m.determinant()
-    if d == 0:
-        raise SingularMatrix("lattice map is singular")
-    return abs(d)
-
-
-def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row Hermite normal form.
-
-    Returns (H, U) with U unimodular, H = U @ m, pivots positive and entries
-    above each pivot reduced into [0, pivot).
-    """
-    n = m.n
-    a = [list(row) for row in m.rows]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    r = 0
-    for c in range(n):
-        # clear the column below row r using Euclidean row steps
-        while True:
-            live = [i for i in range(r, n) if a[i][c] != 0]
-            if not live:
-                break
-            pivot = min(live, key=lambda i: abs(a[i][c]))
-            if pivot != r:
-                a[r], a[pivot] = a[pivot], a[r]
-                u[r], u[pivot] = u[pivot], u[r]
-            done = True
-            for i in range(r + 1, n):
-                if a[i][c] != 0:
-                    q = a[i][c] // a[r][c]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-                    if a[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < n and a[r][c] != 0:
-            if a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
-                u[r] = [-x for x in u[r]]
-            for i in range(r):
-                q = a[i][c] // a[r][c]
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-            r += 1
-    return IntMatrix(a), IntMatrix(u)
-
-
 # -- words ------------------------------------------------------------------
 
 Letter = tuple[int, int]  # (generator index, exponent +1 or -1)
@@ -365,20 +311,6 @@ def word_ball(gens: Sequence[RatMatrix], depth: Optional[int] = None
                     yield p
         frontier = nxt
         length += 1
-
-
-def word_inverse(word: Sequence[Letter]) -> tuple[Letter, ...]:
-    return tuple((i, -e) for i, e in reversed(word))
-
-
-def free_reduce(word: Sequence[Letter]) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for let in word:
-        if out and out[-1][0] == let[0] and out[-1][1] == -let[1]:
-            out.pop()
-        else:
-            out.append(let)
-    return tuple(out)
 
 
 # -- float-only helpers ------------------------------------------------------

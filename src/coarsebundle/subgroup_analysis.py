@@ -7,11 +7,13 @@ vectors.  Second, subgroups of GL2(Q) are sorted into the coarse classes
 that matter for holonomy comparison: bounded, parabolic or hyperbolic
 elementary, lattice (finite index in the modular group, decided by a
 Stallings fold that also proves infinite index), free Schottky-type with a
-ping-pong certificate, or honest Unknown.  Third, a greedy integer-matrix
-orbit reduction drives the rational-line test for vectors.
+ping-pong certificate on closed arcs of the projective line with rational
+endpoints, or honest Unknown.  Third, a greedy integer-matrix orbit
+reduction drives the rational-line test for vectors.
 
-Rational inputs are decided exactly; float reasoning is certificate-based
-or returns Unknown.
+Rational inputs are decided exactly, ping-pong certificates included;
+floats appear only in reported lengths and norms and in the orbit reduction
+of float vectors.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .core_algebra import IntMatrix, Letter, RatMatrix, word_ball
 from .errors import DimensionTooSmall, NotInLattice, ZeroValue
@@ -551,25 +551,28 @@ def classify_psl2z_subgroup(group: Gl2Subgroup,
 
 @dataclass(frozen=True)
 class ConeEntry:
-    """Per-generator sets on the projective circle (angles mod pi)."""
+    """One generator's closed ping-pong arcs on the projective line, each
+    (start, end) through increasing slopes x/y, None standing for infinity.
+    The generator maps the complement of ``repelling`` into ``attracting``."""
 
-    attracting: tuple[float, float]  # (center, radius)
-    repelling: tuple[float, float]
+    attracting: tuple[Optional[Fraction], Optional[Fraction]]
+    repelling: tuple[Optional[Fraction], Optional[Fraction]]
 
 
 @dataclass(frozen=True)
 class ConeTable:
+    """An exactly checked ping-pong certificate: the quadrant each unipotent
+    generator throws into, or one ConeEntry per generator, all arcs
+    pairwise disjoint.  ``canonical_hash`` hashes endpoints as strings."""
+
     variant: str  # axis-quadrants | schottky
     entries: tuple = ()
-    margin: float = 0.0
     description: str = ""
 
     def canonical_hash(self) -> str:
         def entry_key(e):
             if isinstance(e, ConeEntry):
-                return tuple(round(x, 9)
-                             for pair in (e.attracting, e.repelling)
-                             for x in pair)
+                return tuple(str(x) for x in (*e.attracting, *e.repelling))
             return e
         payload = repr((self.variant, self.description,
                         tuple(entry_key(e) for e in self.entries)))
@@ -645,121 +648,100 @@ def _axis_pair_certificate(gens: Sequence[RatMatrix]) -> Optional[ConeTable]:
                 variant="axis-quadrants",
                 entries=(("generator", a, "target", "abs(x) > abs(y)", str(up)),
                          ("generator", b, "target", "abs(x) < abs(y)", str(low))),
-                margin=float("inf"),
                 description="exact inequality certificate on coordinate quadrants",
             )
     return None
 
 
-def _proj_angle(x: float, y: float) -> float:
-    a = math.atan2(y, x) % math.pi
-    return a if a < math.pi else a - math.pi
+def _pingpong_arcs(g: RatMatrix) -> Optional[list]:
+    """(repelling arc R, attracting arc A) of g for each half-width 2^-1 ...
+    2^-23, or None unless g (g^2 when det g < 0) is hyperbolic.
 
-
-def _proj_dist(a: float, b: float) -> float:
-    d = abs(a - b) % math.pi
-    return min(d, math.pi - d)
-
-
-def _signed_offset(angle: float, center: float) -> float:
-    d = (angle - center + math.pi / 2) % math.pi - math.pi / 2
-    return d
-
-
-def _apply_angle(gf: np.ndarray, theta: float) -> float:
-    x, y = math.cos(theta), math.sin(theta)
-    u = gf @ np.array([x, y])
-    return _proj_angle(float(u[0]), float(u[1]))
-
-
-def _arc_maps_into(gf: np.ndarray, source: tuple[float, float],
-                   target: tuple[float, float], margin: float) -> bool:
-    """Whether the homeomorphism image of the source arc lies in the target.
-
-    The image of an arc under a projective map is the arc between the endpoint
-    images that contains the image of the center; containment reduces to
-    signed-offset checks around the target center.
+    R is centered on a multiple of 2^-(m+3) near the repelling fixed point,
+    in the chart x/y, or y/x where |x/y| > 1.  The square root behind that
+    point is truncated at 2^-40, so it only proposes where R goes.  A is the
+    closure of g(P^1 - R): its ends are the exact images of R's, swapped
+    when det g < 0.
     """
-    sc, sr = source
-    tc, tr = target
-    f1 = _apply_angle(gf, sc - sr)
-    f2 = _apply_angle(gf, sc + sr)
-    fc = _apply_angle(gf, sc)
-    d1 = _signed_offset(f1, tc)
-    d2 = _signed_offset(f2, tc)
-    dc = _signed_offset(fc, tc)
-    if abs(d1) > tr - margin or abs(d2) > tr - margin:
-        return False
-    return min(d1, d2) - 1e-12 <= dc <= max(d1, d2) + 1e-12
-
-
-def _complement_arc(arc: tuple[float, float]) -> tuple[float, float]:
-    c, r = arc
-    return ((c + math.pi / 2) % math.pi, math.pi / 2 - r)
-
-
-def _fixed_angles(g: RatMatrix) -> Optional[tuple[float, float]]:
-    """(attracting, repelling) projective fixed directions, by eigenvectors."""
-    w, v = np.linalg.eig(g.to_float())
-    if np.iscomplexobj(w) and abs(w[0].imag) > 1e-12:
+    h = g if g.determinant() > 0 else g @ g
+    a, b, c, d = h.nums
+    disc = (a - d) ** 2 + 4 * b * c  # tr^2 - 4 det, scaled by den^2
+    if disc <= 0:
         return None
-    w = w.real
-    v = v.real
-    order = np.argsort(-np.abs(w))
-    if abs(abs(w[order[0]]) - abs(w[order[1]])) < 1e-12:
-        return None
-    att = _proj_angle(float(v[0, order[0]]), float(v[1, order[0]]))
-    rep = _proj_angle(float(v[0, order[1]]), float(v[1, order[1]]))
-    return att, rep
+    root = Fraction(math.isqrt(disc << 80), 1 << 40)
+    lam = (a + d - root if a + d > 0 else a + d + root) / 2  # smaller |eigenvalue|
+    x, y = max(((b, lam - a), (lam - d, c)), key=lambda v: max(map(abs, v)))
+    inverted = abs(x) > abs(y)
+    point = y / x if inverted else x / y
+    a, b, c, d = g.nums
+
+    def image(p: Optional[Fraction]) -> Optional[Fraction]:
+        u, v = (1, 0) if p is None else (p.numerator, p.denominator)
+        den = c * u + d * v
+        return None if den == 0 else Fraction(a * u + b * v, den)
+
+    out = []
+    for m in range(1, 24):
+        scale = 8 << m
+        center = round(point * scale)
+        lo, hi = Fraction(center - 8, scale), Fraction(center + 8, scale)
+        if inverted:  # u -> 1/u reverses the circle
+            lo, hi = (None if hi == 0 else 1 / hi), (None if lo == 0 else 1 / lo)
+        ends = (image(hi), image(lo))
+        out.append(((lo, hi), ends if h is g else ends[::-1]))  # det < 0 swaps
+    return out
 
 
 def _schottky_certificate(gens: Sequence[RatMatrix]) -> Optional[ConeTable]:
-    """Paired-arc certificate for hyperbolic-type generators.
+    """Exact ping-pong on closed arcs with rational endpoints.
 
-    Conditions checked per radius: all 2k arcs pairwise disjoint; each
-    generator maps the complement of its repelling arc into its attracting
-    arc, and its inverse does the reverse.  These imply freeness by the
-    standard ping-pong word argument, with no power conditions needed.
+    g maps the complement of R_g into A_g, and g^-1 the complement of A_g
+    into R_g.  If all 2k arcs are pairwise disjoint, every nontrivial
+    reduced word moves a point, so the group is free on the generators (de
+    la Harpe, Topics in Geometric Group Theory, II.B).  The widths are
+    chosen per generator, in order: each takes the width that fits every
+    arc chosen so far and leaves the most widths to the later generators,
+    so the cost is quadratic in generators times widths.
     """
-    data = []
-    for g in gens:
-        if g.n != 2:
-            return None
-        cand = g if g.determinant() > 0 else g @ g
-        if _is_scalar(cand) or _projective_character(cand) <= 4:
-            return None
-        angles = _fixed_angles(g)
-        if angles is None:
-            return None
-        data.append((g.to_float(), np.linalg.inv(g.to_float()), angles))
+    if any(g.n != 2 for g in gens):
+        return None
+    options = [_pingpong_arcs(g) for g in gens]
+    if None in options:
+        return None
+    # positions on the circle cut at infinity: the slopes over one common
+    # denominator, then infinity above them all
+    finite = [p for opts in options for pair in opts for arc in pair
+              for p in arc if p is not None]
+    den = math.lcm(*(p.denominator for p in finite))
+    top = max(den // p.denominator * p.numerator for p in finite) + 1
 
-    for delta in (0.5, 0.35, 0.25, 0.18, 0.12, 0.08, 0.05, 0.03,
-                  0.02, 0.012, 0.008, 0.004, 0.002, 0.001):
-        margin = max(1e-7, delta * 1e-3)
-        arcs = []
-        for _, _, (att, rep) in data:
-            arcs.append((att, delta))
-            arcs.append((rep, delta))
-        ok = all(
-            _proj_dist(arcs[i][0], arcs[j][0]) >= arcs[i][1] + arcs[j][1] + margin
-            for i in range(len(arcs)) for j in range(i + 1, len(arcs)))
-        if not ok:
-            continue
-        for gf, gfi, (att, rep) in data:
-            att_arc, rep_arc = (att, delta), (rep, delta)
-            if not _arc_maps_into(gf, _complement_arc(rep_arc), att_arc, margin):
-                ok = False
-                break
-            if not _arc_maps_into(gfi, _complement_arc(att_arc), rep_arc, margin):
-                ok = False
-                break
-        if ok:
-            entries = tuple(
-                ConeEntry(attracting=(att, delta), repelling=(rep, delta))
-                for _, _, (att, rep) in data)
-            return ConeTable(variant="schottky", entries=entries, margin=margin,
-                             description="paired attracting/repelling arcs")
-    return None
+    def place(arc):
+        return tuple(top if p is None else den // p.denominator * p.numerator
+                     for p in arc)
+
+    def on_arc(p: int, arc: tuple[int, int]) -> bool:
+        s, e = arc
+        return s <= p <= e if s <= e else (p >= s or p <= e)
+
+    def fits(x, y) -> bool:  # every arc of x misses every arc of y
+        return not any(on_arc(u[0], v) or on_arc(v[0], u) for u in x for v in y)
+
+    placed = [[o for o in ((tuple(map(place, pair)), pair) for pair in opts)
+               if fits(o[0][:1], o[0][1:])] for opts in options]
+    chosen = []
+    for i, opts in enumerate(placed):
+        live = [o for o in opts if all(fits(o[0], c[0]) for c in chosen)]
+        if not live:
+            return None
+
+        def room(o):  # the fewest, then the total, widths left to the rest
+            left = [sum(fits(o[0], q[0]) for q in later)
+                    for later in placed[i + 1:]]
+            return min(left, default=0), sum(left)
+        chosen.append(max(live, key=room))
+    return ConeTable(variant="schottky", entries=tuple(
+        ConeEntry(attracting=pair[1], repelling=pair[0]) for _, pair in chosen),
+        description="disjoint rational ping-pong arcs")
 
 
 def free_injectivity(gens: Sequence[RatMatrix], depth: int = 6
@@ -767,9 +749,10 @@ def free_injectivity(gens: Sequence[RatMatrix], depth: int = 6
     """Freeness certificate for the group generated by the given matrices.
 
     Exact word search up to the given depth first (a hit is a definite
-    relation); then ping-pong table construction.  A PingPong result implies
-    the word search found nothing, so the two certificate kinds are mutually
-    exclusive by construction.
+    relation).  One generator of infinite order needs no ping-pong (cones
+    None); two or more need the quadrant table of a wide unipotent pair or
+    rational Schottky arcs, else Unknown.  A PingPong result implies the
+    word search found nothing, so the two kinds exclude each other.
     """
     gens = list(gens)
     if not gens:
@@ -780,22 +763,9 @@ def free_injectivity(gens: Sequence[RatMatrix], depth: int = 6
         return FreenessCertificate(kind="RelationFound", depth=depth, word=word)
 
     if len(gens) == 1:
-        g = gens[0]
-        if _torsion_power(g) is None:
-            cand = g if g.determinant() > 0 else g @ g
-            cones = None
-            if (g.n == 2 and not _is_scalar(cand)
-                    and _projective_character(cand) >= 4):
-                angles = _fixed_angles(g)
-                if angles is not None:
-                    cones = ConeTable(
-                        variant="schottky",
-                        entries=(ConeEntry(attracting=(angles[0], 0.1),
-                                           repelling=(angles[1], 0.1)),),
-                        margin=0.0,
-                        description="single infinite-order generator")
+        if _torsion_power(gens[0]) is None:
             return FreenessCertificate(
-                kind="PingPong", depth=depth, cones=cones,
+                kind="PingPong", depth=depth,
                 note="infinite cyclic: exact finite-order test excluded torsion")
         return FreenessCertificate(kind="Unknown", depth=depth)
 

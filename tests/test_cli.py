@@ -281,6 +281,34 @@ def test_subgroup_free_certificates(capsys, sanov_file, write_doc):
     assert out == "RelationFound: word of length 4\n"
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_subgroup_free_json_is_strict(capsys, sanov_file):
+    code, out, _ = run(capsys, ["subgroup", "free", sanov_file, "--json"])
+    assert code == 0
+    assert _strict_json(out)["verdict"]["cones"]["variant"] == "axis-quadrants"
+
+
+def test_subgroup_shear_conjugate_has_exact_arcs(capsys, write_doc):
+    # the shear conjugate of <diag(4, 1/4), [[17/8, 15/8], [15/8, 17/8]]>
+    shear = write_doc("shear.json", {"matrices": [
+        [[4, "15/4"], [0, "1/4"]], [["1/4", 0], ["15/8", 4]]]})
+    code, out, _ = run(capsys, ["subgroup", "class", shear])
+    assert code == 0
+    assert out == "NonElementaryCantor, det Trivial\n"
+    code, out, _ = run(capsys, ["subgroup", "free", shear, "--json"])
+    assert code == 0
+    cones = _strict_json(out)["verdict"]["cones"]
+    assert cones["variant"] == "schottky"
+    for entry in cones["entries"]:
+        for end in entry["attracting"] + entry["repelling"]:
+            assert end is None or isinstance(end, str)
+
+
 def test_subgroup_reduce_prints_the_trace_summary(capsys):
     code, out, _ = run(capsys, ["subgroup", "reduce", "4", "6"])
     assert code == 0

@@ -7,21 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
-from sympy.matrices.normalforms import (
-    hermite_normal_form as hermite_normal_form_sympy)
+from hypothesis import given, strategies as st
 
 from coarsebundle.core_algebra import (
     IntMatrix,
     RatMatrix,
     evaluate_word,
-    free_reduce,
     gl_distance,
-    hermite_normal_form,
-    lattice_index,
     log_singular_values,
     word_ball,
-    word_inverse,
 )
 from coarsebundle.errors import SingularMatrix
 
@@ -159,84 +153,8 @@ def test_unimodular_iff_unit_determinant(m):
     assert m.is_unimodular() == (abs(m.determinant()) == 1)
 
 
-@given(any_dim.flatmap(int_matrices))
-def test_lattice_index_is_absolute_determinant(m):
-    if m.determinant() == 0:
-        with pytest.raises(SingularMatrix):
-            lattice_index(m)
-    else:
-        assert lattice_index(m) == abs(m.determinant())
-
-
-# ---------------------------------------------------------------------------
-# Hermite normal form
-
-
-@given(any_dim.flatmap(int_matrices))
-@settings(max_examples=200)
-def test_hermite_normal_form_contract(m):
-    h, u = hermite_normal_form(m)
-    assert u.is_unimodular()
-    assert u @ m == h
-    n = m.n
-    for i in range(n):
-        for j in range(i):
-            assert h.rows[i][j] == 0
-    for j in range(n):
-        pivot_rows = [i for i in range(n) if h.rows[i][j] != 0 and
-                      all(h.rows[i][k] == 0 for k in range(j))]
-        for i in pivot_rows:
-            assert h.rows[i][j] > 0 or any(h.rows[i][k] != 0
-                                           for k in range(j + 1, n))
-    if m.determinant() != 0:
-        diag = 1
-        for i in range(n):
-            diag *= h.rows[i][i]
-        assert abs(diag) == abs(m.determinant())
-        for i in range(n):
-            assert h.rows[i][i] > 0
-            for r in range(i):
-                assert 0 <= h.rows[r][i] < h.rows[i][i]
-
-
-@given(oracle_dim.flatmap(int_matrices))
-def test_hermite_normal_form_matches_sympy(m):
-    # sympy's form is column-style (W = A V upper triangular, rows reduced to
-    # the right of each pivot).  Reversing the coordinates of the row lattice
-    # turns it into the row form, which is unique for a nonsingular matrix.
-    assume(m.determinant() != 0)
-    w = hermite_normal_form_sympy(sympy.Matrix(m.rows)[:, ::-1].T)
-    h, _ = hermite_normal_form(m)
-    assert [list(row) for row in h.rows] == w.T[::-1, ::-1].tolist()
-
-
 # ---------------------------------------------------------------------------
 # Words
-
-
-words = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=1),
-              st.sampled_from((1, -1))),
-    max_size=8)
-
-
-@given(words)
-def test_word_inverse_gives_exact_inverse(word):
-    gens = [RatMatrix([[1, 1], [0, 1]]), RatMatrix([[2, 0], [0, 1]])]
-    m = evaluate_word(word, gens)
-    m_inv = evaluate_word(word_inverse(word), gens)
-    assert m @ m_inv == RatMatrix.identity(2)
-
-
-@given(words)
-def test_free_reduction_preserves_value_and_is_idempotent(word):
-    gens = [RatMatrix([[1, 1], [0, 1]]), RatMatrix([[0, -1], [1, 0]])]
-    reduced = free_reduce(word)
-    assert free_reduce(reduced) == reduced
-    assert evaluate_word(word, gens) == evaluate_word(reduced, gens)
-    assert not any(reduced[i][0] == reduced[i + 1][0]
-                   and reduced[i][1] == -reduced[i + 1][1]
-                   for i in range(len(reduced) - 1))
 
 
 SL2_GENS = (RatMatrix([[0, -1], [1, 0]]), RatMatrix([[1, 1], [0, 1]]),

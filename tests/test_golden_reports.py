@@ -78,3 +78,12 @@ def test_json_reports_match_the_goldens(trichotomy_corpus, tmp_path,
             moved.append(case)
     assert not moved, f"reports differ from tests/golden: {moved}"
     assert len({case for case, _, _ in cases}) == len(cases) == 90
+
+
+def test_goldens_are_strict_json():
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    goldens = sorted(GOLDEN.glob("*.json"))
+    assert goldens
+    for path in goldens:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)

@@ -13,8 +13,10 @@ from hypothesis import given, strategies as st
 from coarsebundle.core_algebra import IntMatrix, RatMatrix
 from coarsebundle.errors import DimensionTooSmall, NotInLattice
 from coarsebundle.subgroup_analysis import (
+    ConeEntry,
     Gl2Subgroup,
     _rational_nullspace,
+    _schottky_certificate,
     classify_psl2z_subgroup,
     free_injectivity,
     hausdorff_class,
@@ -140,8 +142,8 @@ def test_equivalence_verifies_a_supplied_conjugator():
     a = RatMatrix([[4, 0], [0, Fraction(1, 4)]])
     b = RatMatrix([[Fraction(17, 8), Fraction(15, 8)],
                    [Fraction(15, 8), Fraction(17, 8)]])
-    # a rational rotation keeps the ping-pong arcs apart, so both groups
-    # stay Cantor-type and only the conjugator can decide
+    # both groups have exact ping-pong arcs, so both are Cantor-type and
+    # only the conjugator can decide
     c = RatMatrix([[Fraction(3, 5), Fraction(-4, 5)],
                    [Fraction(4, 5), Fraction(3, 5)]])
     g2 = Gl2Subgroup((a, b))
@@ -196,6 +198,144 @@ def test_wide_parabolic_pairs_are_free():
     cert = free_injectivity((RatMatrix([[1, 2], [0, 1]]),
                              RatMatrix([[1, 0], [3, 1]])), depth=6)
     assert cert.kind == "PingPong"
+
+
+# A hyperbolic pair with crossing axes, and a pair whose generators both
+# reverse orientation (det -1).
+A = RatMatrix([[4, 0], [0, Fraction(1, 4)]])
+B = RatMatrix([[Fraction(17, 8), Fraction(15, 8)],
+               [Fraction(15, 8), Fraction(17, 8)]])
+A_REV = RatMatrix([[4, 0], [0, Fraction(-1, 4)]])
+B_REV = RatMatrix([[Fraction(15, 8), Fraction(17, 8)],
+                   [Fraction(17, 8), Fraction(15, 8)]])
+
+
+def _hyperbolic(attracting, repelling, eigenvalue):
+    """The matrix with these fixed slopes and eigenvalues eigenvalue, 1/it."""
+    p = RatMatrix([[attracting, repelling], [1, 1]])
+    return (p @ RatMatrix([[eigenvalue, 0], [0, Fraction(1, eigenvalue)]])
+            @ p.inverse())
+
+
+def _sym(q):
+    return sympy.oo if q is None else sympy.Rational(q.numerator,
+                                                    q.denominator)
+
+
+def _sym_image(g, p):
+    """Moebius image of a point of Q u {oo} under g, in sympy rationals."""
+    a, b, c, d = (_sym(g[i, j]) for i in (0, 1) for j in (0, 1))
+    if p == sympy.oo:
+        return sympy.oo if c == 0 else a / c
+    den = c * p + d
+    return sympy.oo if den == 0 else (a * p + b) / den
+
+
+def _sym_pieces(arc):
+    """Closed intervals of the extended line whose union is the arc, with
+    +oo and -oo both standing for the one point at infinity."""
+    s, e = arc
+    if s != sympy.oo and (e == sympy.oo or s <= e):
+        return [(s, e)]
+    return [(s, sympy.oo), (-sympy.oo, e)]
+
+
+def _sym_meet(u, v):
+    both_hold_infinity = all(
+        any(abs(x) == sympy.oo for piece in _sym_pieces(arc) for x in piece)
+        for arc in (u, v))
+    return both_hold_infinity or any(
+        max(p[0], q[0]) <= min(p[1], q[1])
+        for p in _sym_pieces(u) for q in _sym_pieces(v))
+
+
+def _verify_schottky(gens, table):
+    """Check a schottky table with sympy: each attracting arc is bounded by
+    the images of its repelling arc's ends and holds the image of a point
+    off the repelling arc, and all 2k arcs are pairwise disjoint."""
+    assert table.variant == "schottky" and len(table.entries) == len(gens)
+    arcs = []
+    for g, entry in zip(gens, table.entries):
+        assert isinstance(entry, ConeEntry)
+        rep = tuple(_sym(x) for x in entry.repelling)
+        att = tuple(_sym(x) for x in entry.attracting)
+        assert {_sym_image(g, x) for x in rep} == set(att)
+        s, e = rep  # (e, s) is the open complement of the repelling arc
+        off = (s - 1 if e == sympy.oo else e + 1 if s == sympy.oo or s < e
+               else (e + s) / 2)
+        assert not any(lo <= off <= hi for lo, hi in _sym_pieces(rep))
+        image = _sym_image(g, off)
+        assert any(lo < image < hi for lo, hi in _sym_pieces(att))
+        arcs += [rep, att]
+    for i, u in enumerate(arcs):
+        for v in arcs[i + 1:]:
+            assert not _sym_meet(u, v)
+
+
+def _conjugate_corpus(seed=2024, count=300):
+    """<diag(k, 1/k), [[c, s], [s, c]]> conjugated by a shear product."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k = rng.choice((4, 5, 6, 8))
+        p, q = rng.choice(((3, 1), (4, 1), (5, 1), (5, 2)))
+        c = Fraction(p * p + q * q, 2 * p * q)
+        s = Fraction(p * p - q * q, 2 * p * q)
+        x = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+        y = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        t = RatMatrix([[1, x], [0, 1]]) @ RatMatrix([[1, 0], [y, 1]])
+        gens = (RatMatrix([[k, 0], [0, Fraction(1, k)]]),
+                RatMatrix([[c, s], [s, c]]))
+        out.append(tuple(t.inverse() @ g @ t for g in gens))
+    return out
+
+
+def test_shear_conjugate_keeps_its_cantor_class():
+    g = Gl2Subgroup((A, B))
+    conj = Gl2Subgroup(tuple(T.inverse() @ x @ T for x in (A, B)))
+    assert hausdorff_class(g).sl2_part.kind == "NonElementaryCantor"
+    assert hausdorff_class(conj).sl2_part.kind == "NonElementaryCantor"
+    assert hausdorff_equivalent(conj, g, conjugator=T).kind == "Equivalent"
+    _verify_schottky(conj.generators, free_injectivity(conj.generators).cones)
+
+
+def test_orientation_reversing_pair_is_free_by_ping_pong():
+    cert = free_injectivity((A_REV, B_REV))
+    assert cert.kind == "PingPong"
+    _verify_schottky((A_REV, B_REV), cert.cones)
+    assert (hausdorff_class(Gl2Subgroup((A_REV, B_REV))).sl2_part.kind
+            == "NonElementaryCantor")
+
+
+def test_three_generator_schottky_group():
+    c = _hyperbolic(3, -3, 16)
+    cert = free_injectivity((A, B, c))
+    assert cert.kind == "PingPong"
+    _verify_schottky((A, B, c), cert.cones)
+
+
+def test_each_generator_keeps_its_own_arcs_apart():
+    # the widest arcs of the second generator that miss the first one's
+    # arcs meet its own attracting arc, so the search must look further
+    gens = (_hyperbolic(12, -2, 3), _hyperbolic(-8, -6, 3))
+    table = _schottky_certificate(gens)
+    assert table is not None
+    _verify_schottky(gens, table)
+
+
+def test_ping_pong_survives_rational_conjugation():
+    found = 0
+    for gens in _conjugate_corpus():
+        table = _schottky_certificate(gens)
+        if table is not None:
+            _verify_schottky(gens, table)
+            found += 1
+    assert found >= 200
+
+
+def test_single_generator_needs_no_cones():
+    cert = free_injectivity((A,))
+    assert cert.kind == "PingPong" and cert.cones is None
 
 
 def test_torsion_is_a_relation():

@@ -91,6 +91,16 @@ def test_incommensurable_scales_are_folded_by_coverage():
             assert row.tau_side.covered_fraction == 1
 
 
+def test_coverage_survives_labels_singular_in_float64():
+    # long products of these labels have entries past 1e16; a float64
+    # inverse of them is singular, the exact one is not
+    v = classify(semidirect(2, [IntMatrix([[13, -41], [-6, 19]]),
+                                IntMatrix([[0, -1], [1, 0]])]))
+    assert v.kind == "Undetermined"
+    assert v.evidence.rule == "ball-coverage"
+    assert v.evidence.depth == 6
+
+
 def test_depth_shrinks_under_the_vertex_cap():
     v = classify(bs(4, 9))
     assert v.kind == "Folded"
