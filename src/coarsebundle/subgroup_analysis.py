@@ -22,14 +22,15 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 from .core_algebra import IntMatrix, Letter, RatMatrix, word_ball
-from .errors import DimensionTooSmall, NotInLattice, ZeroValue
+from .errors import DimensionTooSmall, NotInLattice, RankUnsupported, ZeroValue
 
 COSET_BUDGET = 100_000
-_FORM_CLOSURE_CAP = 256
+_PINGPONG_DEPTH = 6  # relation search before ping-pong in hausdorff_class
+_CONJUGATOR_DEPTH = 5  # word ball that a supplied conjugator must land in
 _HALF = Fraction(1, 2)
 
 
@@ -174,24 +175,9 @@ def _torsion_power(g: RatMatrix) -> Optional[int]:
 # invariant positive forms and boundedness
 
 
-def _symmetric_basis(n: int) -> list[RatMatrix]:
-    return [RatMatrix([[int({r, c} == {i, j}) for c in range(n)] for r in range(n)])
-            for i in range(n) for j in range(i, n)]
-
-
-def _is_positive_definite(q: RatMatrix) -> bool:
-    """Leading principal minors, exact."""
-    n = q.n
-    for k in range(1, n + 1):
-        sub = RatMatrix([[q[i, j] for j in range(k)] for i in range(k)])
-        if sub.determinant() <= 0:
-            return False
-    return True
-
-
-def _rational_nullspace(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
-    """Basis of the exact nullspace of the given row system."""
-    mat = [row[:] for row in rows]
+def _rational_nullspace(rows: list[list], width: int) -> list[list[Fraction]]:
+    """Basis of the exact nullspace of the given row system (ints or Fractions)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(width):
@@ -224,63 +210,46 @@ def invariant_positive_form(gens: Sequence[RatMatrix]) -> Optional[RatMatrix]:
     """Rational positive definite Q with g^T Q g = |det g| Q for every generator.
 
     Such a form exists exactly when the group, normalized to determinant one,
-    is bounded.  The search first tries to close the group by multiplication
-    (a finite closure yields the averaged form exactly); otherwise it solves
-    the invariance equations and looks for a positive definite point in the
-    small solution space.  For 2x2 inputs an infinite bounded group pins the
-    solution space to one line, so checking a handful of candidate
-    combinations is complete there.
+    is bounded.  For Q = [[a, b], [b, c]] the invariance is three integer
+    equations per generator in its numerators, unchanged when g is scaled,
+    and the answer is read off the nullity of the system.  Nullity 3 (every
+    generator scalar) admits the identity, 0 admits nothing, and 1 admits
+    the primitive solution, whose a leads positive, iff ac > b^2.  At
+    nullity 2 the pencil x Q1 + y Q2 has determinant alpha x^2 + beta xy +
+    gamma y^2, positive somewhere iff alpha > 0, gamma > 0 or beta^2 >
+    4 alpha gamma: at (1, 0), (0, 1), the vertex (-beta, 2 alpha), or at
+    (1 - gamma, beta) when alpha = 0.  A symmetric Q of positive
+    determinant is definite.
     """
-    originals = list(gens)
-    gens = [g for g in originals if not g.is_identity()]
-    if not gens:
-        return RatMatrix.identity(originals[0].n if originals else 2)
-    n = gens[0].n
-
-    closure = list(islice(word_ball(gens), _FORM_CLOSURE_CAP + 1))
-    if len(closure) <= _FORM_CLOSURE_CAP:
-        total = None
-        for m in closure:
-            term = m.transpose() @ m
-            total = term if total is None else total + term
-        if _is_positive_definite(total):
-            return total
-        return None
-
-    basis = _symmetric_basis(n)
-    rows: list[list[Fraction]] = []
+    rows = []
     for g in gens:
-        scale = abs(g.determinant())
-        gt = g.transpose()
-        images = [gt @ b @ g - b * scale for b in basis]
-        for i in range(n):
-            for j in range(i, n):
-                rows.append([img[i, j] for img in images])
-    null = _rational_nullspace(rows, len(basis))
-    if not null:
-        return None
-
-    def assemble(coeffs: Sequence[Fraction]) -> RatMatrix:
-        total = None
-        for c, b in zip(coeffs, basis):
-            term = b * c
-            total = term if total is None else total + term
-        return total
-
-    candidates = []
-    for vec in null:
-        candidates.append(vec)
-        candidates.append([-x for x in vec])
-    for i in range(len(null)):
-        for j in range(i + 1, len(null)):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    candidates.append([si * a + sj * b
-                                       for a, b in zip(null[i], null[j])])
-    for coeffs in candidates:
-        q = assemble([Fraction(c) for c in coeffs])
-        if _is_positive_definite(q):
-            return q
+        if g.n != 2:
+            raise RankUnsupported("invariant forms are solved only at rank 2")
+        p, q, r, s = g.nums
+        d = abs(p * s - q * r)
+        rows += [[p * p - d, 2 * p * r, r * r],
+                 [p * q, p * s + q * r - d, r * s],
+                 [q * q, 2 * q * s, s * s - d]]
+    null = [_primitive_tuple(v) for v in _rational_nullspace(rows, 3)]
+    if len(null) == 3:
+        return RatMatrix.identity(2)
+    if len(null) == 2:
+        (a1, b1, c1), (a2, b2, c2) = null
+        alpha, gamma = a1 * c1 - b1 * b1, a2 * c2 - b2 * b2
+        beta = a1 * c2 + a2 * c1 - 2 * b1 * b2
+        if alpha > 0:
+            x, y = 1, 0
+        elif gamma > 0:
+            x, y = 0, 1
+        elif beta * beta > 4 * alpha * gamma:
+            x, y = (-beta, 2 * alpha) if alpha else (1 - gamma, beta)
+        else:
+            return None
+        null = [_primitive_tuple([x * u + y * w for u, w in zip(*null)])]
+    if len(null) == 1:
+        a, b, c = null[0]
+        if a * c > b * b:
+            return RatMatrix([[a, b], [b, c]])
     return None
 
 
@@ -325,42 +294,47 @@ def _translation_length(character: Fraction) -> float:
     return 2.0 * math.acosh(half)
 
 
-def _infinite_order_pilot(gens: Sequence[RatMatrix], depth: int
-                          ) -> Optional[RatMatrix]:
-    """Short product with tr^2/det >= 4 (and not scalar), squared if det < 0."""
-    for p in word_ball(gens, depth):
+def _infinite_order_pilot(gens: Sequence[RatMatrix]) -> Optional[RatMatrix]:
+    """A generator or product of two with tr^2/det >= 4 and not scalar,
+    squared if det < 0."""
+    for p in chain(gens, (a @ b for a, b in combinations(gens, 2))):
         cand = p if p.determinant() > 0 else p @ p
         if not _is_scalar(cand) and _projective_character(cand) >= 4:
             return cand
     return None
 
 
-def elementary_type(group: Gl2Subgroup, product_depth: int = 4) -> ElementaryType:
+def elementary_type(group: Gl2Subgroup) -> ElementaryType:
     """Sort a GL2(Q) subgroup by its projective fixed-point behavior.
 
     Exact tests throughout: boundedness via an invariant positive form,
     parabolic sharing via rational eigendirections, hyperbolic sharing via
     the conjugation test g a g^{-1} in {a, a^{-1}} (preserving the axis
-    pointwise or swapping its ends).  When no generator has infinite order,
-    short products are searched; an unbounded group always contains an
-    infinite-order element, so at reasonable depth this is decisive in
-    practice, and the fallback answer is NonElementary.
-    """
-    gens = [g for g in group.generators if not _is_scalar(g)]
-    if not gens:
-        return ElementaryType(kind="Finite",
-                              invariant_form=RatMatrix.identity(2),
-                              note="all generators scalar")
+    pointwise or swapping its ends).
 
+    An unbounded elementary group always shows a pilot among its generators
+    and their products of two (Beardon, *The Geometry of Discrete Groups*,
+    Ch. 4-5), so no pilot means NonElementary.  Projectively such a group
+    fixes a boundary point or swaps a pair of them.  A reducible group has
+    no elliptic non-scalar element: each generator is a pilot, a scalar or
+    an involution (det < 0, trace 0) fixing the point, and two involutions
+    that differ projectively multiply to a parabolic or hyperbolic pilot.
+    A dihedral-type group's generators either fix both points (pilots,
+    scalars or involutions) or are involutions that swap them, and two
+    distinct swapping involutions multiply to an element that fixes both
+    points, a pilot unless the two differ by the fixing involution.
+    Without a pilot the group is finite projectively, hence bounded.
+    """
     form = invariant_positive_form(group.generators)
     if form is not None:
         return ElementaryType(kind="Finite", invariant_form=form)
 
-    pilot = _infinite_order_pilot(gens, product_depth)
+    gens = [g for g in group.generators if not _is_scalar(g)]
+    pilot = _infinite_order_pilot(gens)
     if pilot is None:
         return ElementaryType(
             kind="NonElementary",
-            note=f"no invariant form; no infinite-order pilot at depth {product_depth}")
+            note="no invariant form; no generator or product of two is a pilot")
 
     character = _projective_character(pilot)
     if character == 4:
@@ -855,8 +829,7 @@ def _direction_multiplier(g: RatMatrix, v: tuple[int, int]) -> Fraction:
 
 
 def hausdorff_class(group: Gl2Subgroup,
-                    budget: int = COSET_BUDGET,
-                    pingpong_depth: int = 6) -> HausdorffClass:
+                    budget: int = COSET_BUDGET) -> HausdorffClass:
     """Full coarse class: determinant leg plus norm-one leg.
 
     The norm-one leg runs: scalar check, boundedness, elementary types,
@@ -884,7 +857,7 @@ def hausdorff_class(group: Gl2Subgroup,
             sl2 = Sl2Part(kind="HyperbolicElementary",
                           translation_length=et.translation_length)
         else:
-            sl2 = _classify_nonelementary(nonscalar, budget, pingpong_depth)
+            sl2 = _classify_nonelementary(nonscalar, budget)
 
     hom_graph = None
     if det_part.kind != "Trivial":
@@ -894,8 +867,7 @@ def hausdorff_class(group: Gl2Subgroup,
     return HausdorffClass(sl2_part=sl2, det_part=det_part, hom_graph=hom_graph)
 
 
-def _classify_nonelementary(gens: list[RatMatrix], budget: int,
-                            pingpong_depth: int) -> Sl2Part:
+def _classify_nonelementary(gens: list[RatMatrix], budget: int) -> Sl2Part:
     v = _common_fixed_direction(gens)
     if v is not None:
         multipliers = [_direction_multiplier(g, v) for g in gens]
@@ -912,7 +884,7 @@ def _classify_nonelementary(gens: list[RatMatrix], budget: int,
         if res.witness is None:
             return Sl2Part(kind="Unknown")
 
-    cert = free_injectivity(gens, depth=pingpong_depth)
+    cert = free_injectivity(gens, depth=_PINGPONG_DEPTH)
     if cert.kind == "PingPong" and cert.cones is not None:
         return Sl2Part(kind="NonElementaryCantor",
                        certificate_hash=cert.cones.canonical_hash())
@@ -928,7 +900,6 @@ class EquivalenceVerdict:
 
 def hausdorff_equivalent(g1: Gl2Subgroup, g2: Gl2Subgroup,
                          conjugator: Optional[RatMatrix] = None,
-                         search_depth: int = 5,
                          budget: int = COSET_BUDGET
                          ) -> EquivalenceVerdict:
     """Compare the coarse classes of two GL2(Q) subgroups.
@@ -937,8 +908,9 @@ def hausdorff_equivalent(g1: Gl2Subgroup, g2: Gl2Subgroup,
     lattice classes decide equivalence (two finite-index subgroups of the
     modular group are commensurable, and elementary classes of the same kind
     are conjugate up to bounded distance).  Matching Cantor-type classes stay
-    Unknown unless a conjugator is supplied that verifiably carries one
-    generator set into the group generated by the other.  ``budget`` caps
+    Unknown unless a conjugator is supplied that verifiably carries each
+    generator of the first group to a word of length at most 5 in the
+    generators of the second and their inverses.  ``budget`` caps
     the fold of each class, as in `hausdorff_class`.
     """
     c1 = hausdorff_class(g1, budget=budget)
@@ -970,7 +942,7 @@ def hausdorff_equivalent(g1: Gl2Subgroup, g2: Gl2Subgroup,
             reason="both of finite index in the modular group, hence commensurable")
 
     if conjugator is not None:
-        if _conjugates_into(g1, g2, conjugator, search_depth):
+        if _conjugates_into(g1, g2, conjugator):
             return EquivalenceVerdict(kind="Equivalent",
                                       reason="user conjugator verified",
                                       witness=conjugator)
@@ -980,10 +952,10 @@ def hausdorff_equivalent(g1: Gl2Subgroup, g2: Gl2Subgroup,
 
 
 def _conjugates_into(g1: Gl2Subgroup, g2: Gl2Subgroup,
-                     conjugator: RatMatrix, depth: int) -> bool:
+                     conjugator: RatMatrix) -> bool:
     inv = conjugator.inverse()
     mats = list(g2.generators) + [g.inverse() for g in g2.generators]
-    ball = set(word_ball(mats, depth))
+    ball = set(word_ball(mats, _CONJUGATOR_DEPTH))
     return all(conjugator @ a @ inv in ball for a in g1.generators)
 
 

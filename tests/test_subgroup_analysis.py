@@ -11,17 +11,19 @@ import sympy
 from hypothesis import given, strategies as st
 
 from coarsebundle.core_algebra import IntMatrix, RatMatrix
-from coarsebundle.errors import DimensionTooSmall, NotInLattice
+from coarsebundle.errors import DimensionTooSmall, NotInLattice, RankUnsupported
 from coarsebundle.subgroup_analysis import (
     ConeEntry,
     Gl2Subgroup,
     _rational_nullspace,
     _schottky_certificate,
     classify_psl2z_subgroup,
+    elementary_type,
     free_injectivity,
     hausdorff_class,
     hausdorff_class_gl1,
     hausdorff_equivalent,
+    invariant_positive_form,
     orbit_reduce,
     rational_line_test,
 )
@@ -72,6 +74,14 @@ def test_gl2_elementary_kinds():
     c = hausdorff_class(scal)
     assert c.sl2_part.kind == "Trivial"
     assert c.det_part.kind == "Discrete" and c.det_part.generator == 4
+    # scaled projective involutions are bounded, as their unscaled forms are
+    for rows in ([[2, 4], [0, -2]], [[2, 0], [6, -2]], [[6, 8], [-4, -6]]):
+        scaled = Gl2Subgroup((RatMatrix(rows),))
+        assert hausdorff_class(scaled).sl2_part.kind == "EllipticBounded"
+    d = RatMatrix([[2, 0], [0, -2]])
+    assert hausdorff_equivalent(
+        Gl2Subgroup((d,)), Gl2Subgroup((T @ d @ T.inverse(),))
+    ).kind == "Equivalent"
 
 
 def test_gl2_lattice_kinds():
@@ -162,10 +172,11 @@ def test_equivalence_verifies_a_supplied_conjugator():
 
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+small_entries = st.one_of(small_fractions, st.integers(min_value=-5, max_value=5))
 
 
 @given(st.integers(min_value=1, max_value=6).flatmap(
-    lambda width: st.lists(st.lists(small_fractions, min_size=width,
+    lambda width: st.lists(st.lists(small_entries, min_size=width,
                                     max_size=width),
                            min_size=1, max_size=5)))
 def test_rational_nullspace_matches_sympy(rows):
@@ -182,6 +193,123 @@ def test_rational_nullspace_matches_sympy(rows):
                               for x in vec] for vec in basis])
         both = ours.col_join(sympy.Matrix.hstack(*ref).T)
         assert ours.rank() == both.rank() == len(basis)
+
+
+def _sympy_form(q):
+    return sympy.Matrix(2, 2, [sympy.Rational(x.numerator, x.denominator)
+                               for row in q.rows for x in row])
+
+
+def _assert_invariant_positive(q, gens):
+    """Q is positive definite and g^T Q g = |det g| Q, in sympy Rationals."""
+    sq = _sympy_form(q)
+    assert sq[0, 0] > 0 and sq.det() > 0 and sq == sq.T
+    for g in gens:
+        sg = _sympy_form(g)
+        assert sg.T * sq * sg == abs(sg.det()) * sq
+
+
+def test_invariant_form_on_a_pencil_without_signed_basis_sums():
+    # g is 3 times a projective involution, so its closure never ends and
+    # its invariant forms are a plane: the basis that row reduction gives
+    # has every signed sum indefinite, yet the plane holds a definite form
+    g = RatMatrix([[-6, 15], [0, 6]])
+    p, q, r, s = g.nums
+    d = abs(p * s - q * r)
+    system = sympy.Matrix([[p * p - d, 2 * p * r, r * r],
+                           [p * q, p * s + q * r - d, r * s],
+                           [q * q, 2 * q * s, s * s - d]])
+    q1, q2 = (sympy.Matrix([[v[0], v[1]], [v[1], v[2]]])
+              for v in system.nullspace())
+    assert all((a * q1 + b * q2).det() < 0 for a in (1, -1) for b in (1, -1))
+    form = invariant_positive_form([g])
+    assert form is not None
+    _assert_invariant_positive(form, [g])
+    assert hausdorff_class(Gl2Subgroup((g,))).sl2_part.kind == "EllipticBounded"
+
+
+def test_invariant_form_is_solved_only_at_rank_2():
+    with pytest.raises(RankUnsupported):
+        invariant_positive_form([RatMatrix.identity(3)])
+
+
+_FINITE_GL2Z = (  # generating sets of finite subgroups of GL2(Z)
+    [((0, -1), (1, 0))], [((0, -1), (1, -1))], [((1, -1), (1, 0))],
+    [((1, 0), (0, -1))], [((0, 1), (1, 0))], [((1, 2), (0, -1))],
+    [((1, 0), (0, -1)), ((0, 1), (1, 0))],
+    [((0, -1), (1, 0)), ((1, 0), (0, -1))],
+    [((0, -1), (1, -1)), ((0, 1), (1, 0))],
+    [((1, -1), (1, 0)), ((0, 1), (1, 0))],
+)
+
+
+def _unbounded_generator(g):
+    """A non-scalar generator that is parabolic, hyperbolic, or det < 0 with
+    nonzero trace has no invariant positive form."""
+    if g.nums[1] == g.nums[2] == 0 and g.nums[0] == g.nums[3]:
+        return False
+    det, tr = g.determinant(), g.trace()
+    return tr * tr / det >= 4 if det > 0 else tr != 0
+
+
+def _form_corpus(seed=11, size=300):
+    rng = random.Random(seed)
+
+    def fraction():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def invertible():
+        while True:
+            m = RatMatrix([[fraction(), fraction()], [fraction(), fraction()]])
+            if m.determinant() != 0:
+                return m
+
+    for i in range(size):
+        kind = i % 3
+        if kind == 0:
+            # k C F C^-1 for a finite subgroup F of GL2(Z)
+            c = invertible()
+            gens = [c @ RatMatrix(f) @ c.inverse()
+                    * Fraction(rng.choice((1, -1, 2, -3)), rng.randint(1, 3))
+                    for f in rng.choice(_FINITE_GL2Z)]
+            yield "finite", gens
+        elif kind == 1:
+            a = invertible()
+            b = RatMatrix([[rng.randint(-3, 3), rng.randint(-3, 3)],
+                           [rng.randint(-3, 3), rng.randint(-3, 3)]])
+            yield "any", [a] if b.determinant() == 0 else [a, b]
+        else:
+            c = invertible()
+            g = RatMatrix([[rng.randint(1, 3), rng.randint(-3, 3)],
+                           [0, rng.choice((1, 2, -1, -2, -3))]])
+            yield "any", [c @ g @ c.inverse(), invertible()]
+
+
+def test_invariant_form_against_finite_and_unbounded_generators():
+    bounded = unbounded = 0
+    for family, gens in _form_corpus():
+        form = invariant_positive_form(gens)
+        if form is not None:
+            _assert_invariant_positive(form, gens)
+        if family == "finite":
+            assert form is not None, gens
+            bounded += 1
+        elif any(_unbounded_generator(g) for g in gens):
+            assert form is None, gens
+            unbounded += 1
+    assert bounded == 100 and unbounded >= 100
+
+
+def test_elliptic_generators_and_products_leave_no_pilot():
+    # both generators and their product are elliptic, yet the group is
+    # non-elementary: no form, no pilot, and the class is found as before
+    group = Gl2Subgroup((RatMatrix([[-3, -3], [1, -3]]),
+                         RatMatrix([[-3, -3], [1, 0]])))
+    et = elementary_type(group)
+    assert et.kind == "NonElementary" and et.pilot is None
+    c = hausdorff_class(group)
+    assert c.sl2_part.kind == "Unknown"
+    assert c.det_part.kind == "Dense"
 
 
 # ---------------------------------------------------------------------------
