@@ -159,51 +159,47 @@ def _projective_character(g: RatMatrix) -> Fraction:
     return g.trace() ** 2 / g.determinant()
 
 
-def _torsion_power(g: RatMatrix) -> Optional[int]:
-    """Least n in {1,2,3,4,6} with g^n = 1, if any.
+def _has_finite_order(g: RatMatrix) -> bool:
+    """Whether g^k = 1 for some k >= 1, exactly at every rank n.
 
-    Rational 2x2 matrices of finite order have order dividing 12 with
-    rational trace, which forces order 1, 2, 3, 4, or 6.
+    An eigenvalue of a finite-order g is a root of unity whose order m has
+    a minimal polynomial of degree phi(m) <= n, so the order of g divides
+    N = lcm{m : phi(m) <= n}: 12 for n <= 3, 120 for n = 4.  The search for
+    such m stops at 2n^2, since phi(m) >= sqrt(m / 2).
     """
-    for n in (1, 2, 3, 4, 6):
-        if g.pow(n).is_identity():
-            return n
-    return None
+    n = g.n
+    order = math.lcm(*(m for m in range(1, 2 * n * n + 1)
+                       if sum(math.gcd(m, k) == 1 for k in range(m)) <= n))
+    return g.pow(order).is_identity()
 
 
 # ---------------------------------------------------------------------------
 # invariant positive forms and boundedness
 
 
-def _rational_nullspace(rows: list[list], width: int) -> list[list[Fraction]]:
-    """Basis of the exact nullspace of the given row system (ints or Fractions)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(vec)
-    return basis
+def _integer_nullspace(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Primitive basis of the nullspace of integer rows of width 3, with the
+    rays and order that row reduction gives.
+
+    Rank 2 leaves the cross product of two independent rows, if every row
+    is orthogonal to it (else the rank is 3).  Rank 1 with pivot p in row r
+    leaves one vector per free column f, r_p e_f - r_f e_p.
+    """
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    r = rows[0]
+    for s in rows:
+        w = (r[1] * s[2] - r[2] * s[1], r[2] * s[0] - r[0] * s[2],
+             r[0] * s[1] - r[1] * s[0])
+        if any(w):
+            if any(sum(x * y for x, y in zip(t, w)) for t in rows):
+                return []
+            return [_primitive_tuple(w)]
+    p = next(i for i, x in enumerate(r) if x)
+    return [_primitive_tuple([r[p] if i == f else -r[f] if i == p else 0
+                              for i in range(3)])
+            for f in range(3) if f != p]
 
 
 def invariant_positive_form(gens: Sequence[RatMatrix]) -> Optional[RatMatrix]:
@@ -230,7 +226,7 @@ def invariant_positive_form(gens: Sequence[RatMatrix]) -> Optional[RatMatrix]:
         rows += [[p * p - d, 2 * p * r, r * r],
                  [p * q, p * s + q * r - d, r * s],
                  [q * q, 2 * q * s, s * s - d]]
-    null = [_primitive_tuple(v) for v in _rational_nullspace(rows, 3)]
+    null = _integer_nullspace(rows)
     if len(null) == 3:
         return RatMatrix.identity(2)
     if len(null) == 2:
@@ -269,23 +265,35 @@ class ElementaryType:
     note: str = ""
 
 
-def _primitive_direction(x: Fraction, y: Fraction) -> tuple[int, int]:
-    return _primitive_tuple((x, y)) or (0, 0)
+def _fixed_directions(g: RatMatrix) -> list[tuple[int, int]]:
+    """The rational directions a non-scalar 2x2 matrix fixes, as primitive
+    integer eigenvectors: none, one (tr^2 = 4 det) or two.
 
-
-def _parabolic_fixed_direction(g: RatMatrix) -> tuple[int, int]:
-    """The unique eigendirection of a nonscalar matrix with tr^2 = 4 det."""
-    lam = g.trace() / 2
-    a = g[0, 0] - lam
-    b = g[0, 1]
-    if a == 0 and b == 0:
-        a, b = g[1, 0], g[1, 1] - lam
-    return _primitive_direction(b, -a)
+    On the numerators (a, b, c, d) the eigenvalues are (a + d + s) / 2 with
+    s = r or -r, r^2 = (a - d)^2 + 4bc, and g minus the eigenvalue kills
+    (2b, d - a + s), or (a - d + s, 2c) where that vanishes.
+    """
+    a, b, c, d = g.nums
+    disc = (a - d) ** 2 + 4 * b * c
+    r = math.isqrt(max(disc, 0))
+    if r * r != disc:
+        return []
+    return [_primitive_tuple((2 * b, d - a + s) if b or d - a + s
+                             else (a - d + s, 2 * c))
+            for s in ((r, -r) if r else (0,))]
 
 
 def _fixes_direction(g: RatMatrix, v: tuple[int, int]) -> bool:
+    a, b, c, d = g.nums
+    x, y = v
+    return (a * x + b * y) * y == (c * x + d * y) * x
+
+
+def _direction_multiplier(g: RatMatrix, v: tuple[int, int]) -> Fraction:
+    """lambda^2/det for the eigenvalue lambda of g along direction v."""
     x, y = g.apply(v)
-    return x * v[1] == y * v[0]
+    lam = Fraction(x, v[0]) if v[0] != 0 else Fraction(y, v[1])
+    return lam * lam / g.determinant()
 
 
 def _translation_length(character: Fraction) -> float:
@@ -309,8 +317,9 @@ def elementary_type(group: Gl2Subgroup) -> ElementaryType:
 
     Exact tests throughout: boundedness via an invariant positive form,
     parabolic sharing via rational eigendirections, hyperbolic sharing via
-    the conjugation test g a g^{-1} in {a, a^{-1}} (preserving the axis
-    pointwise or swapping its ends).
+    the conjugation test g a g^{-1} in {a, adj a}: g preserves the axis of
+    a pointwise or swaps its ends, and a swap exchanges the eigenvalues,
+    giving det(a) a^{-1} = adj a, which is a^{-1} only when det a = 1.
 
     An unbounded elementary group always shows a pilot among its generators
     and their products of two (Beardon, *The Geometry of Discrete Groups*,
@@ -338,7 +347,7 @@ def elementary_type(group: Gl2Subgroup) -> ElementaryType:
 
     character = _projective_character(pilot)
     if character == 4:
-        v = _parabolic_fixed_direction(pilot)
+        v, = _fixed_directions(pilot)
         if all(_fixes_direction(g, v) for g in gens):
             if all(abs(_direction_multiplier(g, v)) == 1 for g in gens):
                 return ElementaryType(kind="ParabolicElementary",
@@ -349,8 +358,8 @@ def elementary_type(group: Gl2Subgroup) -> ElementaryType:
         return ElementaryType(kind="NonElementary", pilot=pilot,
                               note="parabolic pilot direction not shared")
 
-    pilot_inv = pilot.inverse()
-    if all((g @ pilot @ g.inverse()) in (pilot, pilot_inv) for g in gens):
+    pilot_adj = pilot.inverse() * pilot.determinant()
+    if all((g @ pilot @ g.inverse()) in (pilot, pilot_adj) for g in gens):
         return ElementaryType(kind="HyperbolicElementary",
                               translation_length=_translation_length(character),
                               pilot=pilot)
@@ -737,7 +746,7 @@ def free_injectivity(gens: Sequence[RatMatrix], depth: int = 6
         return FreenessCertificate(kind="RelationFound", depth=depth, word=word)
 
     if len(gens) == 1:
-        if _torsion_power(gens[0]) is None:
+        if not _has_finite_order(gens[0]):
             return FreenessCertificate(
                 kind="PingPong", depth=depth,
                 note="infinite cyclic: exact finite-order test excluded torsion")
@@ -776,58 +785,6 @@ class HausdorffClass:
     hom_graph: Optional[tuple] = None
 
 
-def _primitive_integer_form(g: RatMatrix) -> tuple[IntMatrix, int]:
-    """Clear denominators and content: the primitive integer matrix on the
-    same projective ray, plus its determinant."""
-    content = math.gcd(*g.nums) or 1
-    m = IntMatrix([[x // content for x in g.nums[i:i + 2]] for i in (0, 2)])
-    return m, m.determinant()
-
-
-def _common_fixed_direction(gens: Sequence[RatMatrix]
-                            ) -> Optional[tuple[int, int]]:
-    """A rational projective direction fixed by every generator, if one exists."""
-    candidates: list[tuple[int, int]] = []
-    for g in gens:
-        disc = g.trace() ** 2 - 4 * g.determinant()
-        if disc < 0:
-            return None
-        if disc == 0:
-            candidates.append(_parabolic_fixed_direction(g))
-        else:
-            root = _rational_sqrt(disc)
-            if root is None:
-                continue
-            for lam in ((g.trace() + root) / 2, (g.trace() - root) / 2):
-                a = g[0, 0] - lam
-                b = g[0, 1]
-                if a == 0 and b == 0:
-                    a, b = g[1, 0], g[1, 1] - lam
-                candidates.append(_primitive_direction(b, -a))
-        break
-    for v in candidates:
-        if all(_fixes_direction(g, v) for g in gens):
-            return v
-    return None
-
-
-def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
-
-
-def _direction_multiplier(g: RatMatrix, v: tuple[int, int]) -> Fraction:
-    """lambda^2/det for the eigenvalue lambda of g along direction v."""
-    x, y = g.apply(v)
-    lam = Fraction(x, v[0]) if v[0] != 0 else Fraction(y, v[1])
-    return lam * lam / g.determinant()
-
-
 def hausdorff_class(group: Gl2Subgroup,
                     budget: int = COSET_BUDGET) -> HausdorffClass:
     """Full coarse class: determinant leg plus norm-one leg.
@@ -857,7 +814,7 @@ def hausdorff_class(group: Gl2Subgroup,
             sl2 = Sl2Part(kind="HyperbolicElementary",
                           translation_length=et.translation_length)
         else:
-            sl2 = _classify_nonelementary(nonscalar, budget)
+            sl2 = _classify_nonelementary(nonscalar, et.pilot, budget)
 
     hom_graph = None
     if det_part.kind != "Trivial":
@@ -867,18 +824,21 @@ def hausdorff_class(group: Gl2Subgroup,
     return HausdorffClass(sl2_part=sl2, det_part=det_part, hom_graph=hom_graph)
 
 
-def _classify_nonelementary(gens: list[RatMatrix], budget: int) -> Sl2Part:
-    v = _common_fixed_direction(gens)
-    if v is not None:
-        multipliers = [_direction_multiplier(g, v) for g in gens]
-        if all(abs(m) == 1 for m in multipliers):
-            return Sl2Part(kind="ParabolicElementary")
+def _classify_nonelementary(gens: list[RatMatrix], pilot: Optional[RatMatrix],
+                            budget: int) -> Sl2Part:
+    # A direction fixed by every generator is fixed by the pilot, a product
+    # of at most two of them (or its square), so only the pilot's directions
+    # can be shared; an unbounded group without a pilot is irreducible (see
+    # elementary_type).  A shared direction makes the group triangular with
+    # a multiplier off +-1 (else it is elementary), so it closes up to the
+    # full triangular block.
+    if pilot is not None and any(all(_fixes_direction(g, v) for g in gens)
+                                 for v in _fixed_directions(pilot)):
         return Sl2Part(kind="FullGroup")
 
-    primitive = [_primitive_integer_form(g) for g in gens]
-    if all(det == 1 for _, det in primitive):
-        res = classify_psl2z_subgroup(
-            Gl2Subgroup([m.to_rat() for m, _ in primitive]), budget=budget)
+    primitive = [g * Fraction(g.den, math.gcd(*g.nums)) for g in gens]
+    if all(m.determinant() == 1 for m in primitive):
+        res = classify_psl2z_subgroup(Gl2Subgroup(primitive), budget=budget)
         if res.finite:
             return Sl2Part(kind="Lattice", index=res.index)
         if res.witness is None:

@@ -15,7 +15,8 @@ from coarsebundle.errors import DimensionTooSmall, NotInLattice, RankUnsupported
 from coarsebundle.subgroup_analysis import (
     ConeEntry,
     Gl2Subgroup,
-    _rational_nullspace,
+    _fixed_directions,
+    _integer_nullspace,
     _schottky_certificate,
     classify_psl2z_subgroup,
     elementary_type,
@@ -172,27 +173,35 @@ def test_equivalence_verifies_a_supplied_conjugator():
 
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-small_entries = st.one_of(small_fractions, st.integers(min_value=-5, max_value=5))
+small_ints = st.integers(min_value=-5, max_value=5)
+small_entries = st.one_of(small_fractions, small_ints)
 
 
-@given(st.integers(min_value=1, max_value=6).flatmap(
-    lambda width: st.lists(st.lists(small_entries, min_size=width,
-                                    max_size=width),
-                           min_size=1, max_size=5)))
-def test_rational_nullspace_matches_sympy(rows):
-    width = len(rows[0])
-    basis = _rational_nullspace(rows, width)
-    system = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
-                            for x in row] for row in rows])
-    ref = system.nullspace()
-    assert len(basis) == len(ref)
-    for vec in basis:
-        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
-    if basis:
-        ours = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
-                              for x in vec] for vec in basis])
-        both = ours.col_join(sympy.Matrix.hstack(*ref).T)
-        assert ours.rank() == both.rank() == len(basis)
+def _primitive_ray(vec):
+    """The primitive integer vector on the ray of a sympy Rational vector,
+    its first nonzero entry positive."""
+    den = math.lcm(*(int(x.q) for x in vec))
+    ints = [int(x * den) for x in vec]
+    g = math.gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+    return tuple(x // g for x in ints)
+
+
+# rows of width 3 spanned by k = 0 ... 3 random rows, so every rank shows up
+_rank_rows = st.integers(min_value=0, max_value=3).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(small_ints, min_size=3, max_size=3),
+             min_size=k, max_size=k),
+    st.lists(st.lists(small_ints, min_size=k, max_size=k),
+             min_size=1, max_size=5)))
+
+
+@given(_rank_rows)
+def test_rational_nullspace_matches_sympy(spanned):
+    # the integer solve gives row reduction's rays in row reduction's order
+    span, coefficients = spanned
+    rows = [[sum(c * b[j] for c, b in zip(cs, span)) for j in range(3)]
+            for cs in coefficients]
+    ref = sympy.Matrix(rows).nullspace()
+    assert _integer_nullspace(rows) == [_primitive_ray(v) for v in ref]
 
 
 def _sympy_form(q):
@@ -310,6 +319,106 @@ def test_elliptic_generators_and_products_leave_no_pilot():
     c = hausdorff_class(group)
     assert c.sl2_part.kind == "Unknown"
     assert c.det_part.kind == "Dense"
+
+
+def test_swap_of_an_axis_with_pilot_det_off_one_is_hyperbolic_elementary():
+    # a swap sends the pilot p to adj p = det(p) p^-1, which is p^-1 only
+    # when det p = 1, so diag(4, 1) and its normalized twin agree
+    swap = RatMatrix([[0, 1], [1, 0]])
+    for d in (RatMatrix([[4, 0], [0, 1]]),
+              RatMatrix([[2, 0], [0, Fraction(1, 2)]])):
+        group = Gl2Subgroup((d, swap))
+        assert elementary_type(group).kind == "HyperbolicElementary"
+        assert hausdorff_class(group).sl2_part.kind == "HyperbolicElementary"
+
+
+# ---------------------------------------------------------------------------
+# fixed directions and the full triangular group
+
+
+@given(st.lists(small_entries, min_size=4, max_size=4),
+       st.lists(small_entries, min_size=4, max_size=4))
+def test_fixed_directions_match_sympy_eigenvectors(entries, conjugator):
+    # the matrix itself, and its upper triangle under a rational conjugation,
+    # whose eigendirections are always rational
+    a, b, c, d = entries
+    mats = [RatMatrix([[a, b], [c, d]])]
+    k = RatMatrix([conjugator[:2], conjugator[2:]])
+    if k.determinant() != 0:
+        mats.append(k @ RatMatrix([[a, b], [0, d]]) @ k.inverse())
+    for m in mats:
+        if m.nums[1] == m.nums[2] == 0 and m.nums[0] == m.nums[3]:
+            continue
+        ours = _fixed_directions(m)
+        ref = {_primitive_ray(v) for value, _, vecs in _sympy_form(m).eigenvects()
+               if value.is_rational for v in vecs}
+        assert len(ours) == len(ref) and set(ours) == ref
+
+
+_C = RatMatrix([[2, 1], [1, 1]])
+_D = RatMatrix([[2, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("gens, kind", [
+    ((_D, T), "FullGroup"),
+    ((T, _D), "FullGroup"),
+    ((_C @ _D @ _C.inverse(), _C @ T @ _C.inverse()), "FullGroup"),
+    ((_C @ T @ _C.inverse(), _C @ _D @ _C.inverse()), "FullGroup"),
+    ((_D, RatMatrix([[3, 1], [0, 1]])), "FullGroup"),
+    ((_C, RatMatrix([[5, 3], [3, 2]]) @ RatMatrix([[0, 1], [1, 0]])), "Unknown"),
+], ids=["diag-T", "T-diag", "conj-diag-T", "conj-T-diag", "diag-hyperbolic",
+        "irrational-axis"])
+def test_a_shared_rational_direction_gives_the_full_group(gens, kind):
+    assert hausdorff_class(Gl2Subgroup(gens)).sl2_part.kind == kind
+
+
+def _sympy_common_direction(gens):
+    """Whether sympy finds a rational direction fixed by every generator:
+    an eigenvector of the first non-scalar one, for a rational eigenvalue."""
+    mats = [_sympy_form(g) for g in gens]
+    first = next(m for m in mats if not m.is_diagonal() or m[0, 0] != m[1, 1])
+    return any(all((m * v)[0] * v[1] == (m * v)[1] * v[0] for m in mats)
+               for value, _, vecs in first.eigenvects() if value.is_rational
+               for v in vecs)
+
+
+def _triangular_corpus(seed=5, size=240):
+    """Rationally conjugated pairs of upper triangular matrices, with one of
+    the pair replaced by a random matrix in a third of the groups."""
+    rng = random.Random(seed)
+
+    def fraction():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def invertible():
+        while True:
+            m = RatMatrix([[fraction(), fraction()], [fraction(), fraction()]])
+            if m.determinant() != 0:
+                return m
+
+    def triangular():
+        return RatMatrix([[rng.choice((1, 2, -1, 3, Fraction(1, 2))), fraction()],
+                          [0, rng.choice((1, -1, 2, Fraction(1, 3)))]])
+
+    for i in range(size):
+        c = invertible()
+        gens = [c @ triangular() @ c.inverse() for _ in range(2)]
+        if i % 3 == 2:
+            gens[rng.randrange(2)] = invertible()
+        yield gens
+
+
+def test_full_group_exactly_when_sympy_finds_a_shared_direction():
+    full = other = 0
+    for gens in _triangular_corpus():
+        group = Gl2Subgroup(gens)
+        if elementary_type(group).kind != "NonElementary":
+            continue
+        shared = _sympy_common_direction(gens)
+        assert shared == (hausdorff_class(group).sl2_part.kind == "FullGroup"), gens
+        full += shared
+        other += not shared
+    assert full >= 100 and other >= 50
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +580,25 @@ def test_torsion_is_a_relation():
     assert cert.kind == "RelationFound"
     assert cert.word is not None
     assert len(cert.word) == 4  # the rotation has order four
+
+
+def _companion(c0, c1, c2, c3):
+    """Companion matrix of x^4 + c3 x^3 + c2 x^2 + c1 x + c0."""
+    return IntMatrix([[0, 0, 0, -c0], [1, 0, 0, -c1], [0, 1, 0, -c2],
+                      [0, 0, 1, -c3]])
+
+
+@pytest.mark.parametrize("g, finite", [
+    (_companion(1, 1, 1, 1), True),  # order 5, a relation at depth 5
+    (_companion(1, 0, 0, 0), True),  # order 8
+    (_companion(1, -1, 1, -1), True),  # order 10
+    (_companion(1, 0, -1, 0), True),  # order 12
+    (_companion(-1, -1, 0, 0), False),  # x^4 - x - 1, no root of unity
+], ids=["order5", "order8", "order10", "order12", "infinite"])
+def test_finite_order_is_exact_above_rank_3(g, finite):
+    # at rank 4 an order m needs only phi(m) <= 4, so orders 8, 10 and 12
+    # escape both the depth-6 relation search and the rank-2 orders
+    assert (free_injectivity([g]).kind != "PingPong") == finite
 
 
 def test_narrow_parabolic_pair_has_relation():

@@ -32,6 +32,15 @@ def test_finite_order_holonomy_is_folded():
     assert v.evidence.rule == "finite-image"
 
 
+def test_order_eight_holonomy_at_rank_4_is_not_proper():
+    # C8 has order 8, past the orders 1, 2, 3, 4, 6 of rank <= 3, so only an
+    # exact finite-order test keeps rule (c) from calling it free
+    c8 = IntMatrix([[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    v = classify(semidirect(4, [c8]))
+    assert v.kind == "Folded"
+    assert v.evidence.rule == "ball-coverage" and v.evidence.depth == 6
+
+
 def _permutation(cycle_lengths):
     """Permutation matrix of disjoint cycles on consecutive coordinates."""
     image, start = [], 0
