@@ -42,13 +42,13 @@ def main():
     result = classify_psl2z_subgroup(sanov, budget=100000)
     print(f"index of the Sanov pair in the modular group: "
           f"{result.index} ({result.kind})")
-    cert = free_injectivity(sanov.generators, depth=6)
+    cert = free_injectivity(sanov.generators)
     print(f"freeness certificate: {cert.kind} "
           f"({cert.cones.description})")
     print()
 
     torsion = (RatMatrix([[0, -1], [1, 0]]),)
-    cert = free_injectivity(torsion, depth=6)
+    cert = free_injectivity(torsion)
     print(f"the order-four rotation alone: {cert.kind}, "
           f"word of length {len(cert.word)}")
     print()

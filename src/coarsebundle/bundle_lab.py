@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import (NonBijectiveTabulated, SingularGenerator, SingularMatrix,
 _R2_MARGIN = 0.02
 _PERFECT_FIT = 0.999
 _UNIT_CIRCLE_TOL = 1e-9
+_DRIFT_HORIZONS = 64  # truncation horizons of drift_seminorm
 
 
 # ---------------------------------------------------------------------------
@@ -42,19 +42,9 @@ class Translation:
     def apply(self, base_vertex, f: tuple) -> tuple:
         return tuple(x + t for x, t in zip(f, self.vector))
 
-    def preimage(self, base_vertex, f: tuple) -> Optional[tuple]:
-        return tuple(x - t for x, t in zip(f, self.vector))
-
     @property
     def dim(self) -> int:
         return len(self.vector)
-
-
-def _integral_preimage(matrix: IntMatrix, f) -> Optional[tuple]:
-    vec = matrix.inverse().apply([Fraction(x) for x in f])
-    if any(x.denominator != 1 for x in vec):
-        return None
-    return tuple(int(x) for x in vec)
 
 
 @dataclass(frozen=True)
@@ -71,9 +61,6 @@ class Linear:
         rows = self.matrix.rows
         return tuple(sum(rows[i][j] * f[j] for j in range(len(f)))
                      for i in range(len(f)))
-
-    def preimage(self, base_vertex, f: tuple) -> Optional[tuple]:
-        return _integral_preimage(self.matrix, f)
 
     @property
     def dim(self) -> int:
@@ -97,10 +84,6 @@ class Affine:
                     for i in range(len(f)))
         return tuple(x + t for x, t in zip(lin, self.vector))
 
-    def preimage(self, base_vertex, f: tuple) -> Optional[tuple]:
-        return _integral_preimage(
-            self.matrix, [x - t for x, t in zip(f, self.vector)])
-
     @property
     def dim(self) -> int:
         return self.matrix.n
@@ -117,9 +100,6 @@ class Tabulated:
 
     def apply(self, base_vertex, f: tuple) -> tuple:
         return (self.fn(base_vertex, f[0]),)
-
-    def preimage(self, base_vertex, f: tuple) -> Optional[tuple]:
-        return None  # resolved against the window image table at build time
 
     @property
     def dim(self) -> int:
@@ -614,13 +594,12 @@ class DriftEstimate:
         return self.estimates[-1] if self.estimates else 0.0
 
 
-def drift_seminorm(word: Sequence, u: Sequence, truncation: int = 64
-                   ) -> DriftEstimate:
+def drift_seminorm(word: Sequence, u: Sequence) -> DriftEstimate:
     """Drift seminorm N(u) of a vector along the periodic path of a word.
 
     A sequence u_i shadowing the orbit (u_0 = u, each step applying the next
     word letter) must either stay bounded or pay a per-step correction; N(u)
-    is the least uniform correction.  For each horizon m <= truncation the
+    is the least uniform correction.  For each horizon m <= 64 the
     exact inequality
 
         C >= (|T_m u| - |u|) / (1 + |S_1| + ... + |S_{m-1}|)
@@ -647,7 +626,7 @@ def drift_seminorm(word: Sequence, u: Sequence, truncation: int = 64
     estimates = []
     best = 0.0
     vec = uvec.copy()
-    for m in range(1, truncation + 1):
+    for m in range(1, _DRIFT_HORIZONS + 1):
         vec = mats[(m - 1) % period] @ vec
         fm_u = float(np.linalg.norm(vec))
         part = np.eye(n)

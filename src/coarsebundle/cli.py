@@ -89,7 +89,7 @@ def _emit(args, argv: list[str], parameters: dict, verdict, evidence,
     if getattr(args, "json", False):
         report = {
             "command": list(argv),
-            "seed": int(getattr(args, "seed", 0) or 0),
+            "seed": 0,
             "parameters": _jsonable(parameters),
             "verdict": _jsonable(verdict),
             "evidence": _jsonable(evidence),
@@ -296,8 +296,8 @@ def cmd_cocycle(args, argv: list[str]) -> int:
     doc = _load_json(args.input_file)
     if args.action == "check":
         complex_, _, c = _cocycle_inputs(doc)
-        verdict = linf_cohomology.is_trivial(
-            complex_, c, length_cap=args.length_cap, seed=args.seed)
+        verdict = linf_cohomology.is_trivial(complex_, c,
+                                             length_cap=args.length_cap)
         text = verdict.kind if not verdict.note else (
             f"{verdict.kind}: {verdict.note}")
         code = (EXIT_DECIDED if verdict.kind in ("Trivial", "Nontrivial")
@@ -319,7 +319,7 @@ def cmd_cocycle(args, argv: list[str]) -> int:
             bound = _parse_bound(args.bound)
         else:
             table = linf_cohomology.linear_bound_scan(
-                complex_, a, length_cap=args.length_cap, seed=args.seed)
+                complex_, a, length_cap=args.length_cap)
             bound = table.max_ratio
         try:
             f = linf_cohomology.primitive(complex_, a, bound)
@@ -348,8 +348,7 @@ def cmd_cocycle(args, argv: list[str]) -> int:
                                       for j in range(c1.dim)]
                                      for i in range(c1.dim)]))
     verdict = linf_cohomology.classes_equivalent_via(
-        complex_, c1, c2, transform,
-        length_cap=args.length_cap, seed=args.seed)
+        complex_, c1, c2, transform, length_cap=args.length_cap)
     outcome = {"Trivial": "Equivalent", "Nontrivial": "NotEquivalent",
                "Unknown": "Undetermined"}[verdict.kind]
     text = f"{outcome} (difference class is {verdict.kind})"
@@ -441,17 +440,15 @@ def cmd_subgroup(args, argv: list[str]) -> int:
                      text, code)
     if args.action == "free":
         group = _load_group(_load_json(args.inputs[0]))
-        cert = free_injectivity(group.generators, depth=args.depth)
+        cert = free_injectivity(group.generators)
         text = cert.kind
         if cert.kind == "RelationFound" and cert.word:
             text = f"RelationFound: word of length {len(cert.word)}"
         code = EXIT_UNDETERMINED if cert.kind == "Unknown" else EXIT_DECIDED
-        return _emit(args, argv, {"depth": args.depth}, cert, {},
-                     text, code)
+        return _emit(args, argv, {}, cert, {}, text, code)
     # reduce
     raw = " ".join(args.inputs).replace(",", " ").split()
-    vec = [(_parse_bound(x) if ("/" in x or "." not in x) else float(x))
-           for x in raw]
+    vec = [_parse_bound(x) for x in raw]
     trace = orbit_reduce(vec)
     text = (f"reduce {_fmt_vec(trace.start)} -> {_fmt_vec(trace.final)} in "
             f"{trace.step_count} steps; final norm {trace.norms[-1]:.6g}")
@@ -498,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="linear bound for primitive (rational 'p/q' or "
                         "float); default is the scanned ratio bound")
     p.add_argument("--length-cap", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cocycle)
 
@@ -525,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON file(s) with a 'matrices' array, or the "
                         "vector entries for reduce")
     p.add_argument("--budget", type=int, default=20000)
-    p.add_argument("--depth", type=int, default=6)
     p.add_argument("--conjugator", default=None,
                    help="JSON 2x2 matrix with rational entries")
     p.add_argument("--json", action="store_true")

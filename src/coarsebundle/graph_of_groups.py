@@ -10,7 +10,7 @@ GL_n(Q) is the modular holonomy computed below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core_algebra import IntMatrix, RatMatrix
@@ -45,22 +45,10 @@ class Edge:
 
 
 @dataclass(frozen=True)
-class CollapseStep:
-    """Record of one edge collapse; change_of_basis maps removed-vertex fiber
-    coordinates into the surviving vertex's coordinates."""
-
-    edge_id: str
-    removed_vertex: str
-    survivor: str
-    change_of_basis: IntMatrix
-
-
-@dataclass(frozen=True)
 class GraphOfGroups:
     rank: int
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
-    collapse_log: tuple[CollapseStep, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -208,7 +196,7 @@ def collapse_edge(g: GraphOfGroups, edge_id: str) -> GraphOfGroups:
 
     The vertex at the isomorphic end is absorbed into the other; inclusions of
     surviving edges at the removed vertex are composed with the change-of-basis
-    matrix, which is recorded in the collapse log for exact conjugacy checks.
+    matrix.
     """
     e = g.edge_by_id(edge_id)
     if e.iota == e.tau:
@@ -234,12 +222,10 @@ def collapse_edge(g: GraphOfGroups, edge_id: str) -> GraphOfGroups:
             tau = survivor
             incl_t = cob @ incl_t
         new_edges.append(Edge(f.id, iota, tau, incl_i, incl_t))
-    step = CollapseStep(edge_id, removed, survivor, cob)
     return GraphOfGroups(
         rank=g.rank,
         vertices=tuple(v for v in g.vertices if v != removed),
         edges=tuple(new_edges),
-        collapse_log=g.collapse_log + (step,),
     )
 
 

@@ -372,13 +372,12 @@ def _fundamental_cycles(complex_: BaseComplex) -> list[tuple]:
 
 
 def linear_bound_scan(complex_: BaseComplex, a: Cochain1,
-                      length_cap: Optional[int] = None,
-                      seed: int = 0) -> ScanTable:
+                      length_cap: Optional[int] = None) -> ScanTable:
     """Maximal loop sums of a 1-cochain per loop length.
 
     Grid complexes get the complete rectangle family in closed form.  Other
     complexes use all face boundaries, the fundamental cycles of a spanning
-    tree, and a deterministic seeded sample of their concatenations.
+    tree, and a fixed sample (random.Random(0)) of their concatenations.
     """
     if complex_.grid_shape is not None:
         return _scan_grid(complex_, a, length_cap)
@@ -387,7 +386,7 @@ def linear_bound_scan(complex_: BaseComplex, a: Cochain1,
     cycles = _fundamental_cycles(complex_)
     loops.extend(cycles)
     if cycles:
-        rng = random.Random(seed)
+        rng = random.Random(0)
         for _ in range(min(100, 4 * len(cycles) * len(cycles))):
             loops.append(rng.choice(cycles) + rng.choice(cycles))
 
@@ -601,8 +600,7 @@ def _doubling_trend(table: ScanTable) -> tuple[int, list[int]]:
 
 
 def is_trivial(complex_: BaseComplex, c: Cochain2,
-               length_cap: Optional[int] = None,
-               seed: int = 0) -> TrivialityVerdict:
+               length_cap: Optional[int] = None) -> TrivialityVerdict:
     """Bounded-triviality verdict for a face cochain.
 
     Solves da = c exactly (NotCoboundary if impossible) and scans loop
@@ -619,7 +617,7 @@ def is_trivial(complex_: BaseComplex, c: Cochain2,
     if not c.exact:
         a = Cochain1(dim=a.dim, values={
             e: tuple(float(x) for x in vec) for e, vec in a.values.items()})
-    table = linear_bound_scan(complex_, a, length_cap=length_cap, seed=seed)
+    table = linear_bound_scan(complex_, a, length_cap=length_cap)
 
     run, lengths = _doubling_trend(table)
     if run >= _GROWTH_RUN:
@@ -652,8 +650,8 @@ def is_trivial(complex_: BaseComplex, c: Cochain2,
 
 def classes_equivalent_via(complex_: BaseComplex, c1: Cochain2, c2: Cochain2,
                            transform: RatMatrix,
-                           length_cap: Optional[int] = None,
-                           seed: int = 0) -> TrivialityVerdict:
+                           length_cap: Optional[int] = None
+                           ) -> TrivialityVerdict:
     """Triviality of c1 - T(c2): whether the classes agree up to the given
     invertible change of fiber coordinates.  The difference is formed
     exactly and rounded to floats when either class holds floats."""
@@ -669,7 +667,7 @@ def classes_equivalent_via(complex_: BaseComplex, c1: Cochain2, c2: Cochain2,
         v2 = transform.apply([Fraction(x) for x in c2.value(i)])
         diff.values[i] = tuple(num(Fraction(x) - y)
                                for x, y in zip(c1.value(i), v2))
-    return is_trivial(complex_, diff, length_cap=length_cap, seed=seed)
+    return is_trivial(complex_, diff, length_cap=length_cap)
 
 
 def heisenberg_cochain(complex_: BaseComplex) -> Cochain1:

@@ -8,7 +8,7 @@ that matter for holonomy comparison: bounded, parabolic or hyperbolic
 elementary, lattice (finite index in the modular group, decided by a
 Stallings fold that also proves infinite index), free Schottky-type with a
 ping-pong certificate on closed arcs of the projective line with rational
-endpoints, or honest Unknown.  Third, a greedy integer-matrix orbit
+endpoints or a commutator trace below -2, or honest Unknown.  Third, a greedy integer-matrix orbit
 reduction drives the rational-line test for vectors.
 
 Rational inputs are decided exactly, ping-pong certificates included;
@@ -29,9 +29,11 @@ from .core_algebra import IntMatrix, Letter, RatMatrix, word_ball
 from .errors import DimensionTooSmall, NotInLattice, RankUnsupported, ZeroValue
 
 COSET_BUDGET = 100_000
-_PINGPONG_DEPTH = 6  # relation search before ping-pong in hausdorff_class
+_RELATION_DEPTH = 6  # longest reduced word the relation search tries
 _CONJUGATOR_DEPTH = 5  # word ball that a supplied conjugator must land in
 _HALF = Fraction(1, 2)
+_LINE_TOL = 1e-10  # reduced norm below which a float vector is off every line
+_LINE_STEPS = 200  # orbit reduction steps of the rational-line test
 
 
 # ---------------------------------------------------------------------------
@@ -544,11 +546,12 @@ class ConeEntry:
 
 @dataclass(frozen=True)
 class ConeTable:
-    """An exactly checked ping-pong certificate: the quadrant each unipotent
-    generator throws into, or one ConeEntry per generator, all arcs
-    pairwise disjoint.  ``canonical_hash`` hashes endpoints as strings."""
+    """An exactly checked freeness certificate: the quadrant each unipotent
+    generator throws into, one ConeEntry per generator with all arcs
+    pairwise disjoint, or (variant trace, no entries) the commutator trace
+    in the description.  ``canonical_hash`` hashes endpoints as strings."""
 
-    variant: str  # axis-quadrants | schottky
+    variant: str  # axis-quadrants | schottky | trace
     entries: tuple = ()
     description: str = ""
 
@@ -727,20 +730,40 @@ def _schottky_certificate(gens: Sequence[RatMatrix]) -> Optional[ConeTable]:
         description="disjoint rational ping-pong arcs")
 
 
-def free_injectivity(gens: Sequence[RatMatrix], depth: int = 6
-                     ) -> FreenessCertificate:
+def _trace_certificate(gens: Sequence[RatMatrix]) -> Optional[ConeTable]:
+    """tr[a, b] < -2 for two generators of positive determinant.
+
+    Scaled to determinant one, a and b then generate a discrete free group
+    of rank two, the holonomy of a hyperbolic one-holed torus (Fricke; see
+    Goldman, Geom. Topol. 7 (2003) 443-486).  The trace of the commutator
+    is exact and does not change when a or b is scaled.
+    """
+    if (len(gens) != 2 or any(g.n != 2 for g in gens)
+            or any(g.determinant() <= 0 for g in gens)):
+        return None
+    a, b = gens
+    kappa = (a @ b @ a.inverse() @ b.inverse()).trace()
+    if kappa >= -2:
+        return None
+    return ConeTable(variant="trace", description=f"tr[a, b] = {kappa} < -2")
+
+
+def free_injectivity(gens: Sequence[RatMatrix]) -> FreenessCertificate:
     """Freeness certificate for the group generated by the given matrices.
 
-    Exact word search up to the given depth first (a hit is a definite
-    relation).  One generator of infinite order needs no ping-pong (cones
-    None); two or more need the quadrant table of a wide unipotent pair or
-    rational Schottky arcs, else Unknown.  A PingPong result implies the
-    word search found nothing, so the two kinds exclude each other.
+    Exact search over reduced words of length up to six first (a hit is a
+    definite relation).  One generator of infinite order needs no ping-pong
+    (cones None); two or more need the quadrant table of a wide unipotent
+    pair, rational Schottky arcs, or, for two generators of positive
+    determinant, a commutator trace below -2, else Unknown.  A PingPong
+    result implies the word search found nothing, so the two kinds exclude
+    each other.
     """
     gens = list(gens)
     if not gens:
         return FreenessCertificate(kind="Unknown", depth=0, note="no generators")
 
+    depth = _RELATION_DEPTH
     word = _relation_search(gens, depth)
     if word is not None:
         return FreenessCertificate(kind="RelationFound", depth=depth, word=word)
@@ -752,9 +775,8 @@ def free_injectivity(gens: Sequence[RatMatrix], depth: int = 6
                 note="infinite cyclic: exact finite-order test excluded torsion")
         return FreenessCertificate(kind="Unknown", depth=depth)
 
-    table = _axis_pair_certificate(gens)
-    if table is None:
-        table = _schottky_certificate(gens)
+    table = (_axis_pair_certificate(gens) or _schottky_certificate(gens)
+             or _trace_certificate(gens))
     if table is not None:
         return FreenessCertificate(kind="PingPong", depth=depth, cones=table)
     return FreenessCertificate(kind="Unknown", depth=depth)
@@ -793,7 +815,7 @@ def hausdorff_class(group: Gl2Subgroup,
     shared-fixed-direction triangular analysis (an unbounded mixed group
     fixing one rational direction closes up to the full upper triangular
     block, which acts cocompactly), then lattice detection by folding in
-    the modular group, then a ping-pong Cantor certificate, and otherwise
+    the modular group, then a freeness (Cantor) certificate, and otherwise
     Unknown.  A modular group is called Cantor only when the fold proves
     infinite index; a fold that spends ``budget`` vertices gives Unknown.
     """
@@ -844,7 +866,7 @@ def _classify_nonelementary(gens: list[RatMatrix], pilot: Optional[RatMatrix],
         if res.witness is None:
             return Sl2Part(kind="Unknown")
 
-    cert = free_injectivity(gens, depth=_PINGPONG_DEPTH)
+    cert = free_injectivity(gens)
     if cert.kind == "PingPong" and cert.cones is not None:
         return Sl2Part(kind="NonElementaryCantor",
                        certificate_hash=cert.cones.canonical_hash())
@@ -1050,14 +1072,13 @@ def _primitive_tuple(vec: Sequence[Fraction]) -> Optional[tuple[int, ...]]:
     return tuple(ints)
 
 
-def rational_line_test(v: Sequence, tol: float = 1e-10,
-                       max_steps: int = 200) -> LineVerdict:
+def rational_line_test(v: Sequence) -> LineVerdict:
     """Decide whether a vector lies on a line through integer points.
 
     Exact rational input is always decided, with the primitive integer
-    direction.  Float input is judged by orbit reduction: clean cancellation
-    to one coordinate reconstructs a direction; decay of the norm below the
-    declared tolerance is negative evidence; anything at the float noise
+    direction.  Float input is judged by at most 200 orbit reduction steps:
+    clean cancellation to one coordinate reconstructs a direction; decay of
+    the norm below 1e-10 is negative evidence; anything at the float noise
     floor stays Unknown.
     """
     vec = list(v)
@@ -1070,8 +1091,8 @@ def rational_line_test(v: Sequence, tol: float = 1e-10,
 
     floats = [float(x) for x in vec]
     noise = 1e-13 * max(_euclid_norm(floats), 1e-30)
-    trace = orbit_reduce(floats, max_steps=max_steps,
-                         stop_below=max(tol, noise))
+    trace = orbit_reduce(floats, max_steps=_LINE_STEPS,
+                         stop_below=max(_LINE_TOL, noise))
     final = trace.final
     nonzero = [idx for idx in range(len(final)) if final[idx] != 0.0]
     if len(nonzero) <= 1 and (not nonzero or abs(final[nonzero[0]]) > noise):
@@ -1083,6 +1104,6 @@ def rational_line_test(v: Sequence, tol: float = 1e-10,
             direction = _primitive_tuple(col)
         return LineVerdict(kind="OnRationalLine", direction=direction,
                            trace=trace)
-    if trace.norms[-1] < tol:
+    if trace.norms[-1] < _LINE_TOL:
         return LineVerdict(kind="NotOnRationalLine", trace=trace)
     return LineVerdict(kind="Unknown", trace=trace)

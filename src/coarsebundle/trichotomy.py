@@ -105,8 +105,8 @@ def classify(g: GraphOfGroups, depth: int = DEFAULT_DEPTH,
         end) gives Parabolic, with the endomorphism attached.  When both
         ends are isomorphisms the form is not strict and is never used.
     (c) holonomy generators that are integral, unimodular, pairwise distinct
-        and certified free by ping-pong generate a discrete free group of
-        the expected rank, giving Proper.
+        and certified free by free_injectivity generate a discrete free
+        group of the expected rank, giving Proper.
     (d) otherwise count the tree ball of the given depth by vertex state
         (no vertex is materialized) and test both halfspaces of one
         representative tree edge per graph edge.  All
@@ -147,7 +147,7 @@ def classify(g: GraphOfGroups, depth: int = DEFAULT_DEPTH,
         distinct = len(set(gens)) == len(gens)
         nontrivial = not any(m.is_identity() for m in gens)
         if distinct and nontrivial:
-            cert = free_injectivity(gens, depth=DEFAULT_DEPTH)
+            cert = free_injectivity(gens)
             if cert.kind == "PingPong":
                 return TrichotomyVerdict(
                     kind=KIND_PROPER, rank=n,

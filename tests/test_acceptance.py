@@ -387,7 +387,7 @@ def _line_distance(v, direction):
 
 def test_acceptance_09_seminorm_convergence():
     diag = RatMatrix([[2, 0], [0, Fraction(1, 2)]])
-    est = drift_seminorm([diag], [1.0, 0.0], truncation=64)
+    est = drift_seminorm([diag], [1.0, 0.0])
     assert est.closed_form is not None
     assert abs(est.closed_form - 1.0) < 1e-12
     assert abs(est.estimates[63] - est.closed_form) <= 0.01 * est.closed_form
@@ -396,7 +396,7 @@ def test_acceptance_09_seminorm_convergence():
     lam = (3 + math.sqrt(5)) / 2
     v = np.array([lam - 1, 1.0])
     v /= np.linalg.norm(v)
-    est = drift_seminorm([fib], v.tolist(), truncation=64)
+    est = drift_seminorm([fib], v.tolist())
     closed = lam - 1
     assert est.closed_form is not None
     assert abs(est.closed_form - closed) < 1e-9

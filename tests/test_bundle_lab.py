@@ -57,17 +57,15 @@ def taxicab_ball_z3(r):
 # gluing maps
 
 
-def test_translation_apply_and_preimage_invert():
+def test_translation_applies_its_vector():
     tr = Translation((4, -1))
     assert tr.dim == 2
     assert tr.apply(None, (0, 0)) == (4, -1)
-    assert tr.preimage(None, (4, -1)) == (0, 0)
 
 
 def test_linear_map_applies_the_matrix_exactly():
     lin = Linear(IntMatrix([[2, 1], [1, 1]]))
     assert lin.apply(0, (1, 0)) == (2, 1)
-    assert lin.preimage(0, (2, 1)) == (1, 0)
 
 
 def test_linear_map_rejects_singular_matrices():
@@ -75,11 +73,9 @@ def test_linear_map_rejects_singular_matrices():
         Linear(IntMatrix([[1, 1], [1, 1]]))
 
 
-def test_affine_preimage_returns_none_off_the_lattice():
+def test_affine_map_applies_the_matrix_then_the_shift():
     aff = Affine(IntMatrix([[2]]), (1,))
     assert aff.apply(0, (3,)) == (7,)
-    assert aff.preimage(0, (7,)) == (3,)
-    assert aff.preimage(0, (8,)) is None
 
 
 def test_spec_validates_base_and_map_dimensions():

@@ -309,6 +309,22 @@ def test_subgroup_shear_conjugate_has_exact_arcs(capsys, write_doc):
             assert end is None or isinstance(end, str)
 
 
+def test_subgroup_free_reports_the_commutator_trace(capsys, write_doc):
+    pair = write_doc("pair.json", {"matrices": [
+        [[4, 0], [0, "1/4"]], [["29/20", "21/20"], ["21/20", "29/20"]]]})
+    code, out, _ = run(capsys, ["subgroup", "free", pair, "--json"])
+    assert code == 0
+    report = _strict_json(out)
+    assert report["parameters"] == {}
+    assert report["verdict"]["depth"] == 6
+    assert report["verdict"]["cones"]["variant"] == "trace"
+    assert report["verdict"]["cones"]["description"].endswith("< -2")
+    # the relation depth and the loop sample are fixed, not flags
+    assert main(["subgroup", "free", pair, "--depth", "8"]) == 1
+    assert main(["cocycle", "check", pair, "--seed", "1"]) == 1
+    capsys.readouterr()
+
+
 def test_subgroup_reduce_prints_the_trace_summary(capsys):
     code, out, _ = run(capsys, ["subgroup", "reduce", "4", "6"])
     assert code == 0

@@ -5,7 +5,10 @@ Each case writes its input documents into a scratch directory, runs
 compares stdout with `tests/golden/<case>.json`.  The cases are the
 Baumslag-Solitar table BS(m, n) for m, n <= 6 at depth 6, the acceptance-10
 corpus, the `subgroup class` reports of the Sanov, Gamma(2) and Gamma_0(2)
-generators, and one `subgroup equiv` pair.
+generators, one `subgroup equiv` pair, and two `cocycle check` reports of
+the Heisenberg gluing: on the 9x9 grid, whose rectangles are scanned in
+closed form, and on a 4x3 grid given as plain vertices, edges and faces,
+whose scan samples concatenations of fundamental cycles.
 
 A change that is meant to alter a report regenerates the goldens with
 
@@ -22,6 +25,7 @@ import pytest
 
 from coarsebundle import bs, graph_of_groups
 from coarsebundle.cli import main
+from coarsebundle.linf_cohomology import grid_complex
 
 GOLDEN = Path(__file__).parent / "golden"
 REGEN = os.environ.get("COARSEBUNDLE_REGEN_GOLDEN") == "1"
@@ -32,6 +36,16 @@ SUBGROUPS = {
     "gamma0_2": [[[1, 1], [0, 1]], [[1, 0], [2, 1]]],
     "full": [[[0, -1], [1, 0]], [[1, 1], [0, 1]]],
 }
+
+
+def _explicit_heisenberg(width, height):
+    """The Heisenberg gluing on a grid written out as a general complex:
+    no grid shape, and every upward edge weighs its column coordinate."""
+    g = grid_complex(width, height)
+    return {"complex": {"vertices": g.vertices, "edges": g.edges,
+                        "faces": g.faces},
+            "gluing": {"values": [{"edge": (u, v), "value": [u[0]]}
+                                  for u, v in g.edges if u[0] == v[0]]}}
 
 
 def _cases(corpus):
@@ -57,6 +71,13 @@ def _cases(corpus):
                 ["subgroup", "equiv", "sanov.json", "full.json", "--json"],
                 {f"{key}.json": {"matrices": SUBGROUPS[key]}
                  for key in ("sanov", "full")}))
+    out.append(("cocycle_heisenberg_9x9",
+                ["cocycle", "check", "heisenberg9.json", "--json"],
+                {"heisenberg9.json": {"complex": {"grid": [9, 9]},
+                                      "gluing": "heisenberg"}}))
+    out.append(("cocycle_explicit_4x3",
+                ["cocycle", "check", "explicit4x3.json", "--json"],
+                {"explicit4x3.json": _explicit_heisenberg(4, 3)}))
     return out
 
 
@@ -77,7 +98,7 @@ def test_json_reports_match_the_goldens(trichotomy_corpus, tmp_path,
         elif golden.read_text(encoding="utf-8") != out:
             moved.append(case)
     assert not moved, f"reports differ from tests/golden: {moved}"
-    assert len({case for case, _, _ in cases}) == len(cases) == 90
+    assert len({case for case, _, _ in cases}) == len(cases) == 92
 
 
 def test_goldens_are_strict_json():

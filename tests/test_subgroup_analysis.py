@@ -18,6 +18,7 @@ from coarsebundle.subgroup_analysis import (
     _fixed_directions,
     _integer_nullspace,
     _schottky_certificate,
+    _trace_certificate,
     classify_psl2z_subgroup,
     elementary_type,
     free_injectivity,
@@ -426,14 +427,14 @@ def test_full_group_exactly_when_sympy_finds_a_shared_direction():
 
 
 def test_sanov_pair_is_free_by_ping_pong():
-    cert = free_injectivity(SANOV.generators, depth=6)
+    cert = free_injectivity(SANOV.generators)
     assert cert.kind == "PingPong"
     assert cert.cones is not None
 
 
 def test_wide_parabolic_pairs_are_free():
     cert = free_injectivity((RatMatrix([[1, 2], [0, 1]]),
-                             RatMatrix([[1, 0], [3, 1]])), depth=6)
+                             RatMatrix([[1, 0], [3, 1]])))
     assert cert.kind == "PingPong"
 
 
@@ -570,13 +571,81 @@ def test_ping_pong_survives_rational_conjugation():
     assert found >= 200
 
 
+def _sym_commutator_trace(a, b):
+    """tr(a b a^-1 b^-1), recomputed in sympy."""
+    ma, mb = (sympy.Matrix(2, 2, [_sym(g[i, j]) for i in (0, 1)
+                                  for j in (0, 1)]) for g in (a, b))
+    return (ma * mb * ma.inv() * mb.inv()).trace()
+
+
+def _diag(k):
+    return RatMatrix([[k, 0], [0, Fraction(1, k)]])
+
+
+# Hyperbolic pairs with crossing axes whose arcs overlap at every dyadic
+# width the Schottky search tries, but with tr[a, b] < -2.
+C29 = RatMatrix([[Fraction(29, 20), Fraction(21, 20)],
+                 [Fraction(21, 20), Fraction(29, 20)]])
+C5 = RatMatrix([[Fraction(5, 4), Fraction(3, 4)],
+                [Fraction(3, 4), Fraction(5, 4)]])
+TRACE_PAIRS = [(_diag(4), C29), (_diag(5), C29), (_diag(6), C29),
+               (_diag(8), C5)]
+
+
+@pytest.mark.parametrize("a, b", TRACE_PAIRS,
+                         ids=["k4", "k5", "k6", "k8"])
+def test_commutator_trace_certifies_pairs_the_arcs_miss(a, b):
+    assert _schottky_certificate((a, b)) is None
+    cert = free_injectivity((a, b))
+    assert cert.kind == "PingPong" and cert.cones.variant == "trace"
+    kappa = _sym_commutator_trace(a, b)
+    assert kappa < -2
+    assert cert.cones.description == f"tr[a, b] = {kappa} < -2"
+    # scaling a generator changes neither the commutator nor the certificate
+    scaled = (a * 3, b * Fraction(2, 7))
+    assert _trace_certificate(scaled) == cert.cones
+    assert (hausdorff_class(Gl2Subgroup((a, b))).sl2_part.kind
+            == "NonElementaryCantor")
+
+
+def test_every_conjugate_is_free_by_arcs_or_trace():
+    variants = []
+    for gens in _conjugate_corpus():
+        cert = free_injectivity(gens)
+        assert cert.kind == "PingPong"
+        variants.append(cert.cones.variant)
+        if cert.cones.variant == "trace":
+            kappa = _sym_commutator_trace(*gens)
+            assert cert.cones.description == f"tr[a, b] = {kappa} < -2"
+    assert set(variants) == {"schottky", "trace"}
+    assert variants.count("schottky") >= 200
+
+
+def test_commutator_trace_of_minus_two_is_not_certified():
+    # a once-punctured torus group: free, but its commutator is parabolic,
+    # so neither disjoint arcs nor the strict trace bound apply
+    a = RatMatrix([[1, 1], [1, 2]])
+    b = RatMatrix([[1, -1], [-1, 2]])
+    assert _sym_commutator_trace(a, b) == -2
+    assert _trace_certificate((a, b)) is None
+    assert free_injectivity((a, b)).kind == "Unknown"
+
+
+def test_commutator_trace_needs_two_generators_of_positive_determinant():
+    a, b = TRACE_PAIRS[0]
+    assert _trace_certificate((a, b, a @ b)) is None
+    assert _trace_certificate((a * -1, b)) is not None  # det(-a) = det(a)
+    flip = RatMatrix([[1, 0], [0, -1]])
+    assert _trace_certificate((a @ flip, b)) is None
+
+
 def test_single_generator_needs_no_cones():
     cert = free_injectivity((A,))
     assert cert.kind == "PingPong" and cert.cones is None
 
 
 def test_torsion_is_a_relation():
-    cert = free_injectivity((S,), depth=6)
+    cert = free_injectivity((S,))
     assert cert.kind == "RelationFound"
     assert cert.word is not None
     assert len(cert.word) == 4  # the rotation has order four
@@ -602,8 +671,9 @@ def test_finite_order_is_exact_above_rank_3(g, finite):
 
 
 def test_narrow_parabolic_pair_has_relation():
-    cert = free_injectivity((T, RatMatrix([[1, 0], [1, 1]])), depth=8)
+    cert = free_injectivity((T, RatMatrix([[1, 0], [1, 1]])))
     assert cert.kind == "RelationFound"
+    assert len(cert.word) == 6  # the braid relation TLT = LTL
 
 
 # ---------------------------------------------------------------------------
