@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Any, Optional
@@ -123,6 +124,12 @@ def _fraction(x) -> Fraction:
     raise ValueError(f"cannot read {x!r} as a rational")
 
 
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise ValueError(f"finite number expected, got {x!r}")
+    return x
+
+
 def _number(x):
     """Exact when possible: ints and 'p/q' stay exact, floats stay float."""
     if isinstance(x, bool):
@@ -130,7 +137,7 @@ def _number(x):
     if isinstance(x, int):
         return x
     if isinstance(x, float):
-        return x
+        return _finite(x)
     if isinstance(x, str):
         return Fraction(x)
     raise ValueError(f"cannot read {x!r} as a number")
@@ -172,7 +179,7 @@ def _parse_base_vertex(text: str):
 def _parse_bound(text: str):
     if "/" in text or text.lstrip("+-").isdigit():
         return Fraction(text)
-    return float(text)
+    return _finite(float(text))
 
 
 def _fmt_vec(vec) -> str:
@@ -540,7 +547,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CoarseBundleError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, KeyError, IndexError, OSError,
+    except (ValueError, KeyError, IndexError, OSError, OverflowError,
             json.JSONDecodeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_ERROR

@@ -3,10 +3,10 @@
 A matrix is stored as its size n, a flat row-major tuple of Python-int
 numerators and one positive common denominator, reduced so that integral
 matrices have denominator 1.  Exact paths (products, determinants, inverses,
-Hermite form, word evaluation and the word ball of a generating set) run on
-those ints and never touch floats; `rows` and `m[i, j]` are exact
-`fractions.Fraction` views.  The one float operation, `gl_distance`, is
-numerical by nature and says so.
+Hermite form and the word ball of a generating set) run on those ints and
+never touch floats; `rows` and `m[i, j]` are exact `fractions.Fraction`
+views.  The one float operation, `gl_distance`, is numerical by nature and
+says so.
 """
 
 from __future__ import annotations
@@ -265,23 +265,6 @@ class IntMatrix(RatMatrix):
 # -- words ------------------------------------------------------------------
 
 Letter = tuple[int, int]  # (generator index, exponent +1 or -1)
-
-
-def evaluate_word(word: Iterable[Letter], gens: Sequence[RatMatrix]) -> RatMatrix:
-    """Left-to-right product of generator powers.
-
-    The first letter is the leftmost factor: evaluate_word([(0,+1),(1,+1)], [A,B])
-    is A @ B.  Exponents are restricted to +1/-1; inverses are exact.
-    """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    out = RatMatrix.identity(gens[0].n)
-    for idx, exp in word:
-        if exp not in (1, -1):
-            raise ValueError(f"exponent must be +1 or -1, got {exp}")
-        out = out @ (gens[idx] if exp == 1 else gens[idx].inverse())
-    return out
 
 
 def word_ball(gens: Sequence[RatMatrix], depth: Optional[int] = None

@@ -39,14 +39,6 @@ class NotUnimodular(CoarseBundleError):
     """A matrix required to lie in GL_n(Z) has |det| != 1."""
 
 
-class LoopEdge(CoarseBundleError):
-    """The operation requires a non-loop edge."""
-
-
-class NoUnimodularEnd(CoarseBundleError):
-    """Neither inclusion of the edge is an isomorphism, so it cannot collapse."""
-
-
 class BallTooLarge(CoarseBundleError):
     """Growing the ball would exceed the configured vertex cap."""
 

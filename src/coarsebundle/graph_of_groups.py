@@ -16,8 +16,6 @@ from typing import Optional
 from .core_algebra import IntMatrix, RatMatrix
 from .errors import (
     Disconnected,
-    LoopEdge,
-    NoUnimodularEnd,
     NotUnimodular,
     RankMismatch,
     SingularInclusion,
@@ -85,12 +83,6 @@ class GraphOfGroups:
                     frontier.append(w)
         if seen != vset:
             raise Disconnected(f"{len(vset) - len(seen)} vertices unreachable")
-
-    def edge_by_id(self, edge_id: str) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(f"no edge {edge_id!r}")
 
     def betti_number(self) -> int:
         return len(self.edges) - len(self.vertices) + 1
@@ -189,57 +181,47 @@ def modular_holonomy(g: GraphOfGroups, basepoint: Optional[str] = None) -> Holon
     return HolonomyRep(base, tree_set, transports, tuple(gens))
 
 
-# -- collapse moves ----------------------------------------------------------
-
-def collapse_edge(g: GraphOfGroups, edge_id: str) -> GraphOfGroups:
-    """Contract a non-loop edge one of whose inclusions is an isomorphism.
-
-    The vertex at the isomorphic end is absorbed into the other; inclusions of
-    surviving edges at the removed vertex are composed with the change-of-basis
-    matrix.
-    """
-    e = g.edge_by_id(edge_id)
-    if e.iota == e.tau:
-        raise LoopEdge(f"edge {edge_id!r} is a loop")
-    if e.incl_tau.is_unimodular():
-        survivor, removed = e.iota, e.tau
-        cob = (e.incl_iota @ e.incl_tau.inverse()).to_int_matrix()
-    elif e.incl_iota.is_unimodular():
-        survivor, removed = e.tau, e.iota
-        cob = (e.incl_tau @ e.incl_iota.inverse()).to_int_matrix()
-    else:
-        raise NoUnimodularEnd(f"edge {edge_id!r} has no unimodular end")
-    new_edges = []
-    for f in g.edges:
-        if f.id == edge_id:
-            continue
-        incl_i, incl_t = f.incl_iota, f.incl_tau
-        iota, tau = f.iota, f.tau
-        if iota == removed:
-            iota = survivor
-            incl_i = cob @ incl_i
-        if tau == removed:
-            tau = survivor
-            incl_t = cob @ incl_t
-        new_edges.append(Edge(f.id, iota, tau, incl_i, incl_t))
-    return GraphOfGroups(
-        rank=g.rank,
-        vertices=tuple(v for v in g.vertices if v != removed),
-        edges=tuple(new_edges),
-    )
-
+# -- reduction ---------------------------------------------------------------
 
 def reduce(g: GraphOfGroups) -> GraphOfGroups:
-    """Collapse collapsible edges (sorted-id order) until none remain."""
+    """Collapse collapsible edges (sorted-id order) until none remain.
+
+    An edge collapses when it is not a loop and one of its inclusions is an
+    isomorphism.  The vertex at that end is absorbed into the other, and the
+    inclusions of surviving edges at the removed vertex are composed with
+    the change-of-basis matrix.
+    """
     while True:
-        candidate = None
-        for e in sorted(g.edges, key=lambda e: e.id):
-            if e.iota != e.tau and (e.incl_iota.is_unimodular() or e.incl_tau.is_unimodular()):
-                candidate = e.id
-                break
-        if candidate is None:
+        e = next((e for e in sorted(g.edges, key=lambda e: e.id)
+                  if e.iota != e.tau and (e.incl_iota.is_unimodular()
+                                          or e.incl_tau.is_unimodular())),
+                 None)
+        if e is None:
             return g
-        g = collapse_edge(g, candidate)
+        if e.incl_tau.is_unimodular():
+            survivor, removed = e.iota, e.tau
+            cob = (e.incl_iota @ e.incl_tau.inverse()).to_int_matrix()
+        else:
+            survivor, removed = e.tau, e.iota
+            cob = (e.incl_tau @ e.incl_iota.inverse()).to_int_matrix()
+        new_edges = []
+        for f in g.edges:
+            if f.id == e.id:
+                continue
+            incl_i, incl_t = f.incl_iota, f.incl_tau
+            iota, tau = f.iota, f.tau
+            if iota == removed:
+                iota = survivor
+                incl_i = cob @ incl_i
+            if tau == removed:
+                tau = survivor
+                incl_t = cob @ incl_t
+            new_edges.append(Edge(f.id, iota, tau, incl_i, incl_t))
+        g = GraphOfGroups(
+            rank=g.rank,
+            vertices=tuple(v for v in g.vertices if v != removed),
+            edges=tuple(new_edges),
+        )
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ that matter for holonomy comparison: bounded, parabolic or hyperbolic
 elementary, lattice (finite index in the modular group, decided by a
 Stallings fold that also proves infinite index), free Schottky-type with a
 ping-pong certificate on closed arcs of the projective line with rational
-endpoints or a commutator trace below -2, or honest Unknown.  Third, a greedy integer-matrix orbit
-reduction drives the rational-line test for vectors.
+endpoints or a commutator trace below -2, or honest Unknown.  Third, a
+greedy integer-matrix orbit reduction shortens a vector by elementary
+unimodular moves; an exact vector reduces to its gcd on the first axis.
 
 Rational inputs are decided exactly, ping-pong certificates included;
 floats appear only in reported lengths and norms and in the orbit reduction
@@ -32,8 +33,6 @@ COSET_BUDGET = 100_000
 _RELATION_DEPTH = 6  # longest reduced word the relation search tries
 _CONJUGATOR_DEPTH = 5  # word ball that a supplied conjugator must land in
 _HALF = Fraction(1, 2)
-_LINE_TOL = 1e-10  # reduced norm below which a float vector is off every line
-_LINE_STEPS = 200  # orbit reduction steps of the rational-line test
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +176,19 @@ def _has_finite_order(g: RatMatrix) -> bool:
 
 # ---------------------------------------------------------------------------
 # invariant positive forms and boundedness
+
+
+def _primitive_tuple(vec: Sequence[Fraction]) -> Optional[tuple[int, ...]]:
+    if all(x == 0 for x in vec):
+        return None
+    den = math.lcm(*(x.denominator for x in vec))
+    ints = [int(x * den) for x in vec]
+    g = math.gcd(*ints)
+    ints = [x // g for x in ints]
+    lead = next(x for x in ints if x != 0)
+    if lead < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
 
 
 def _integer_nullspace(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -946,42 +958,31 @@ def _conjugates_into(g1: Gl2Subgroup, g2: Gl2Subgroup,
 
 
 @dataclass(frozen=True)
-class ReductionStep:
-    pivot: int
-    other: int
-    quotient: int
-    norm: float
-
-
-@dataclass(frozen=True)
 class ReductionTrace:
     start: tuple
     final: tuple
     norms: tuple[float, ...]
-    steps: tuple[ReductionStep, ...]
-    matrices: tuple[IntMatrix, ...]
     transform: IntMatrix
     exact: bool
     stagnated: bool
 
     @property
     def step_count(self) -> int:
-        return len(self.steps)
+        return len(self.norms) - 1
 
 
 def _euclid_norm(vec: Sequence) -> float:
     return math.sqrt(sum(float(x) * float(x) for x in vec))
 
 
-def orbit_reduce(v: Sequence, max_steps: int = 200,
-                 stop_below: float = 0.0) -> ReductionTrace:
+def orbit_reduce(v: Sequence, max_steps: int = 200) -> ReductionTrace:
     """Greedy norm reduction along the integer-matrix orbit of a vector.
 
     Each step picks the largest coordinate and subtracts the best
     nearest-integer multiple of another nonzero coordinate, which is an
     elementary unimodular move.  Exact inputs (ints and Fractions) reduce
     until at most one coordinate is nonzero, reaching the gcd; float inputs
-    reduce until stagnation, the step limit, or the stop threshold.
+    reduce until stagnation or the step limit.
     """
     vec = list(v)
     n = len(vec)
@@ -996,14 +997,10 @@ def orbit_reduce(v: Sequence, max_steps: int = 200,
     start = tuple(vec)
     transform = IntMatrix.identity(n)
     norms = [_euclid_norm(vec)]
-    steps: list[ReductionStep] = []
-    matrices: list[IntMatrix] = []
 
     for _ in range(max_steps):
         nonzero = [idx for idx in range(n) if vec[idx] != 0]
         if len(nonzero) <= 1:
-            break
-        if norms[-1] < stop_below:
             break
         i = max(range(n), key=lambda idx: (abs(vec[idx]), -idx))
         best = None
@@ -1022,18 +1019,13 @@ def orbit_reduce(v: Sequence, max_steps: int = 200,
         if best is None or best[0] >= abs(vec[i]):
             return ReductionTrace(
                 start=start, final=tuple(vec), norms=tuple(norms),
-                steps=tuple(steps), matrices=tuple(matrices),
                 transform=transform, exact=exact, stagnated=True)
         _, j, q, new = best
         vec[i] = new
         rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
         rows[i][j] = -q
-        e = IntMatrix(rows)
-        matrices.append(e)
-        transform = e @ transform
+        transform = IntMatrix(rows) @ transform
         norms.append(_euclid_norm(vec))
-        steps.append(ReductionStep(pivot=i, other=j, quotient=q,
-                                   norm=norms[-1]))
     nonzero = [idx for idx in range(n) if vec[idx] != 0]
     if exact and len(nonzero) == 1 and (nonzero[0] != 0 or vec[0] < 0):
         k = nonzero[0]
@@ -1042,68 +1034,8 @@ def orbit_reduce(v: Sequence, max_steps: int = 200,
         rows[0][0] = rows[k][k] = 0
         rows[0][k] = sign
         rows[k][0] = sign
-        perm = IntMatrix(rows)
         vec[0], vec[k] = sign * vec[k], sign * vec[0]
-        matrices.append(perm)
-        transform = perm @ transform
+        transform = IntMatrix(rows) @ transform
     return ReductionTrace(
-        start=start, final=tuple(vec), norms=tuple(norms), steps=tuple(steps),
-        matrices=tuple(matrices), transform=transform, exact=exact,
-        stagnated=False)
-
-
-@dataclass(frozen=True)
-class LineVerdict:
-    kind: str  # OnRationalLine | NotOnRationalLine | Unknown
-    direction: Optional[tuple[int, ...]] = None
-    trace: Optional[ReductionTrace] = None
-
-
-def _primitive_tuple(vec: Sequence[Fraction]) -> Optional[tuple[int, ...]]:
-    if all(x == 0 for x in vec):
-        return None
-    den = math.lcm(*(x.denominator for x in vec))
-    ints = [int(x * den) for x in vec]
-    g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
-
-
-def rational_line_test(v: Sequence) -> LineVerdict:
-    """Decide whether a vector lies on a line through integer points.
-
-    Exact rational input is always decided, with the primitive integer
-    direction.  Float input is judged by at most 200 orbit reduction steps:
-    clean cancellation to one coordinate reconstructs a direction; decay of
-    the norm below 1e-10 is negative evidence; anything at the float noise
-    floor stays Unknown.
-    """
-    vec = list(v)
-    if len(vec) < 2:
-        raise DimensionTooSmall("need at least two coordinates")
-    if all(isinstance(x, (int, Fraction)) for x in vec):
-        fracs = [Fraction(x) for x in vec]
-        return LineVerdict(kind="OnRationalLine",
-                           direction=_primitive_tuple(fracs))
-
-    floats = [float(x) for x in vec]
-    noise = 1e-13 * max(_euclid_norm(floats), 1e-30)
-    trace = orbit_reduce(floats, max_steps=_LINE_STEPS,
-                         stop_below=max(_LINE_TOL, noise))
-    final = trace.final
-    nonzero = [idx for idx in range(len(final)) if final[idx] != 0.0]
-    if len(nonzero) <= 1 and (not nonzero or abs(final[nonzero[0]]) > noise):
-        direction = None
-        if nonzero:
-            idx = nonzero[0]
-            inv = trace.transform.inverse()
-            col = [inv[r, idx] for r in range(inv.n)]
-            direction = _primitive_tuple(col)
-        return LineVerdict(kind="OnRationalLine", direction=direction,
-                           trace=trace)
-    if trace.norms[-1] < _LINE_TOL:
-        return LineVerdict(kind="NotOnRationalLine", trace=trace)
-    return LineVerdict(kind="Unknown", trace=trace)
+        start=start, final=tuple(vec), norms=tuple(norms),
+        transform=transform, exact=exact, stagnated=False)

@@ -331,6 +331,28 @@ def test_subgroup_reduce_prints_the_trace_summary(capsys):
     assert out == "reduce (4, 6) -> (2, 0) in 2 steps; final norm 2\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["subgroup", "reduce", "inf", "1"],
+    ["subgroup", "reduce", "1e400", "3"],
+    ["subgroup", "reduce", "nan", "3"],
+    ["cocycle", "primitive", "{heis}", "--C", "inf"],
+    ["cocycle", "primitive", "{heis}", "--C", "nan"],
+    ["cocycle", "check", "{inf}"],
+])
+def test_non_finite_numbers_are_input_errors(capsys, write_doc, argv):
+    heis = write_doc("heis.json",
+                     {"complex": {"grid": [5, 4]}, "gluing": "heisenberg"})
+    # json.dumps writes Infinity, which json.load reads back as a float
+    inf = write_doc("inf.json",
+                    {"complex": {"grid": [3, 3]},
+                     "gluing": {"dim": 1, "values": [
+                         {"edge": [[0, 0], [1, 0]], "value": [float("inf")]}]}})
+    code, out, err = run(capsys, [a.format(heis=heis, inf=inf) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # JSON reports
 

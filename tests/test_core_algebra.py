@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 from coarsebundle.core_algebra import (
     IntMatrix,
     RatMatrix,
-    evaluate_word,
     gl_distance,
     log_singular_values,
     word_ball,
@@ -195,12 +194,6 @@ def test_word_ball_closes_finite_groups(gens, order):
     ball = set(word_ball(gens))
     assert len(ball) == order
     assert {a @ b for a in ball for b in ball} == ball
-
-
-def test_word_order_is_left_to_right():
-    a = RatMatrix([[1, 1], [0, 1]])
-    b = RatMatrix([[1, 0], [1, 1]])
-    assert evaluate_word([(0, 1), (1, 1)], [a, b]) == a @ b
 
 
 # ---------------------------------------------------------------------------

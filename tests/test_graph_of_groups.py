@@ -152,6 +152,38 @@ def test_reduce_collapses_unimodular_tree_edges():
     assert r.edges[0].id == "loop"
 
 
+def test_reduce_keeps_edges_without_a_collapsible_shape():
+    # a bridge with no unimodular end and a loop with one both survive
+    bridge = GraphOfGroups(rank=1, vertices=("a", "b"), edges=(
+        Edge("e", "a", "b", IntMatrix([[2]]), IntMatrix([[3]])),
+    ))
+    assert gog.reduce(bridge) == bridge
+    loop = GraphOfGroups(rank=1, vertices=("v",), edges=(
+        Edge("e", "v", "v", IntMatrix([[1]]), IntMatrix([[2]])),
+    ))
+    assert gog.reduce(loop) == loop
+
+
+def test_reduce_composes_inclusions_along_a_chain():
+    # u -a- v -b- w with a loop c at w: v folds into u through
+    # [[2, -2], [0, 1]], then w into u through [[-2, 6], [1, 0]]
+    g = GraphOfGroups(rank=2, vertices=("u", "v", "w"), edges=(
+        Edge("a", "u", "v", IntMatrix([[2, 0], [0, 1]]),
+             IntMatrix([[1, 1], [0, 1]])),
+        Edge("b", "v", "w", IntMatrix([[3, 0], [0, 1]]),
+             IntMatrix([[0, 1], [1, 0]])),
+        Edge("c", "w", "w", IntMatrix([[1, 0], [0, 2]]),
+             IntMatrix([[2, 0], [0, 1]])),
+    ))
+    assert to_json_dict(gog.reduce(g)) == {
+        "rank": 2,
+        "vertices": ["u"],
+        "edges": [{"id": "c", "from": "u", "to": "u",
+                   "incl_from": [[-2, 12], [1, 0]],
+                   "incl_to": [[-4, 6], [2, 0]]}],
+    }
+
+
 def test_reduce_is_confluent_on_corpus():
     rng = random.Random(42)
     for _ in range(40):
