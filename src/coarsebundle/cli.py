@@ -131,7 +131,7 @@ def _finite(x: float) -> float:
 
 
 def _number(x):
-    """Exact when possible: ints and 'p/q' stay exact, floats stay float."""
+    """Int, 'p/q' or finite float; a cochain reads a float as Fraction(x)."""
     if isinstance(x, bool):
         raise ValueError("boolean is not a number")
     if isinstance(x, int):
@@ -215,7 +215,11 @@ def _load_cochain2(doc, complex_: BaseComplex) -> Cochain2:
     dim = int(doc.get("dim", 1))
     c = Cochain2(dim=dim)
     for entry in doc["values"]:
-        c.set(int(entry["face"]), tuple(_number(x) for x in entry["value"]))
+        face = int(entry["face"])
+        if face not in range(len(complex_.faces)):
+            raise ValueError(f"face index {face} out of range: the complex "
+                             f"has {len(complex_.faces)} faces")
+        c.set(face, tuple(_number(x) for x in entry["value"]))
     return c
 
 
@@ -337,11 +341,9 @@ def cmd_cocycle(args, argv: list[str]) -> int:
                          {"kind": "PositiveCycle", "C": bound},
                          {"witness": ex.cycle}, text, EXIT_DECIDED)
         worst = linf_cohomology.residual_sup(complex_, a, f)
-        budget = 2 * bound
-        # exact arithmetic always meets 2C; float roundoff can miss it
-        relation = "within" if worst <= budget else "exceeds"
+        budget = 2 * Fraction(bound)
         text = (f"primitive found: sup |a + df| = {worst} "
-                f"{relation} budget {budget}")
+                f"within budget {budget}")
         return _emit(args, argv, {"C": bound},
                      {"kind": "Primitive", "achieved": worst,
                       "budget": budget},

@@ -12,12 +12,11 @@ a(v, u) = -a(u, v); the coboundary of a 0-cochain f assigns f(u) - f(v) to
 (u, v), so a + df is the candidate bounded representative; the coboundary
 of a 1-cochain sums its values around each face boundary loop.
 
-Arithmetic follows the input.  A cochain whose values are ints and
-Fractions is exact, and every loop sum, scan row, potential and
-certificate derived from it is exact, at any denominator size; an absent
-edge or face reads as an exact zero.  A cochain holding floats gives float
-results through the same code, and certificates then allow 6C instead of
-4C for roundoff.
+All arithmetic is exact.  Cochain values are ints and Fractions; a float
+given to a cochain or as a bound is read as the exact binary rational it
+is, Fraction(x).  Every loop sum, scan row, potential and certificate is
+then exact at any denominator size, and an absent edge or face reads as an
+exact zero.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .errors import NotCoboundary, PositiveCycle, SingularMatrix
 
 OrientedEdge = tuple[Hashable, Hashable]
 
-_GROWTH_FACTOR = 1.5
+_GROWTH_FACTOR = Fraction(3, 2)
 _GROWTH_RUN = 3
 _PRIMITIVE_RETRIES = 6
 _INT64_LIMIT = 1 << 60
@@ -126,11 +125,16 @@ def grid_complex(width: int, height: int) -> BaseComplex:
 
 
 def _as_tuple(vec, dim: int) -> tuple:
+    """A cochain value as a dim-tuple of ints and Fractions; other entries,
+    floats among them, become the exact rationals they are."""
     if isinstance(vec, (int, float, Fraction)):
         vec = (vec,)
     t = tuple(vec)
     if len(t) != dim:
         raise ValueError(f"expected a vector of length {dim}")
+    for x in t:
+        if not isinstance(x, (int, Fraction)):
+            return tuple(Fraction(y) for y in t)
     return t
 
 
@@ -140,6 +144,10 @@ class Cochain1:
 
     dim: int
     values: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.values = {e: _as_tuple(vec, self.dim)
+                       for e, vec in self.values.items()}
 
     def value(self, e: OrientedEdge) -> tuple:
         if e in self.values:
@@ -151,11 +159,6 @@ class Cochain1:
 
     def set(self, e: OrientedEdge, vec) -> None:
         self.values[e] = _as_tuple(vec, self.dim)
-
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(x, (int, Fraction))
-                   for vec in self.values.values() for x in vec)
 
     @staticmethod
     def from_map(complex_: BaseComplex, mapping: dict, dim: int = 1
@@ -180,16 +183,15 @@ class Cochain2:
     dim: int
     values: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.values = {i: _as_tuple(vec, self.dim)
+                       for i, vec in self.values.items()}
+
     def value(self, face_index: int) -> tuple:
         return self.values.get(face_index, (_ZERO,) * self.dim)
 
     def set(self, face_index: int, vec) -> None:
         self.values[face_index] = _as_tuple(vec, self.dim)
-
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(x, (int, Fraction))
-                   for vec in self.values.values() for x in vec)
 
 
 def d1(complex_: BaseComplex, a: Cochain1) -> Cochain2:
@@ -223,20 +225,18 @@ def coboundary_of_potential(complex_: BaseComplex, f: dict, dim: int
 @dataclass(frozen=True)
 class ScanRow:
     length: int
-    max_abs: object  # Fraction in exact mode, float otherwise
-    ratio: object
+    max_abs: object  # int or Fraction
+    ratio: Fraction
 
 
 @dataclass(frozen=True)
 class ScanTable:
     rows: tuple
     witnesses: dict
-    exact: bool
 
     @property
-    def max_ratio(self):
-        return max((row.ratio for row in self.rows),
-                   default=_ZERO if self.exact else 0.0)
+    def max_ratio(self) -> Fraction:
+        return max((row.ratio for row in self.rows), default=_ZERO)
 
 
 def _keep_max(best: dict, length: int, value, witness) -> None:
@@ -246,15 +246,13 @@ def _keep_max(best: dict, length: int, value, witness) -> None:
         best[length] = (value, witness)
 
 
-def _scan_table(best: dict, exact: bool) -> ScanTable:
+def _scan_table(best: dict) -> ScanTable:
     """Scan rows from length -> (max |loop sum|, witness loop), sorted by
-    length; ratios are exact quotients for exact sums."""
-    rows = tuple(
-        ScanRow(length=ell, max_abs=m,
-                ratio=Fraction(m, ell) if exact else m / ell)
-        for ell, (m, _) in sorted(best.items()))
+    length, with exact ratios."""
+    rows = tuple(ScanRow(length=ell, max_abs=m, ratio=Fraction(m, ell))
+                 for ell, (m, _) in sorted(best.items()))
     witnesses = {ell: loop for ell, (_, loop) in best.items()}
-    return ScanTable(rows=rows, witnesses=witnesses, exact=exact)
+    return ScanTable(rows=rows, witnesses=witnesses)
 
 
 def _loop_value(a: Cochain1, loop: Sequence[OrientedEdge], k: int):
@@ -286,27 +284,20 @@ def _scan_grid(complex_: BaseComplex, a: Cochain1,
     The loop sum of a around a rectangle equals the sum of da over the
     enclosed cells, so 2D prefix sums cover the whole family.  Rectangles
     sharing a column span and a height line up along one shifted difference
-    of a prefix column, which numpy reduces in a single vector op.  Exact
-    data is scaled by its common denominator to integer cells: int64 while
-    no prefix sum can overflow, Python ints otherwise, so maxima and ratios
-    are exact at any size.  Float data scans float64 cells.
+    of a prefix column, which numpy reduces in a single vector op.  The
+    sums are scaled by their common denominator to integer cells: int64
+    while no prefix sum can overflow, Python ints otherwise, so maxima and
+    ratios are exact at any size.
     """
     width, height = complex_.grid_shape
     cw, ch = width - 1, height - 1
     da = d1(complex_, a)
     sums = [da.value(i) for i in range(len(complex_.faces))]
-    exact = a.exact
-    if exact:
-        den = math.lcm(*(Fraction(x).denominator
-                         for vec in sums for x in vec))
-        cells = np.array([[int(Fraction(x) * den) for x in vec]
-                          for vec in sums], dtype=object)
-        if np.abs(cells).max(initial=0) * cw * ch <= _INT64_LIMIT:
-            cells = cells.astype(np.int64)
-        to_value = lambda s: Fraction(int(s), den)
-    else:
-        cells = np.array(sums, dtype=np.float64)
-        to_value = float
+    den = math.lcm(*(x.denominator for vec in sums for x in vec))
+    cells = np.array([[int(x * den) for x in vec] for vec in sums],
+                     dtype=object)
+    if np.abs(cells).max(initial=0) * cw * ch <= _INT64_LIMIT:
+        cells = cells.astype(np.int64)
 
     best: dict = {}
     for k in range(a.dim):
@@ -327,8 +318,8 @@ def _scan_grid(complex_: BaseComplex, a: Cochain1,
                               (x1, y1, x2, y1 + sy))
     # cell sums compare like the values they scale to; convert once
     return _scan_table(
-        {ell: (to_value(m), _grid_rectangle_loop(*rect))
-         for ell, (m, rect) in best.items()}, exact)
+        {ell: (Fraction(int(m), den), _grid_rectangle_loop(*rect))
+         for ell, (m, rect) in best.items()})
 
 
 def _fundamental_cycles(complex_: BaseComplex) -> list[tuple]:
@@ -396,7 +387,7 @@ def linear_bound_scan(complex_: BaseComplex, a: Cochain1,
         if length_cap is None or ell <= length_cap:
             _keep_max(best, ell, max(abs(_loop_value(a, loop, k))
                                      for k in range(a.dim)), loop)
-    return _scan_table(best, a.exact)
+    return _scan_table(best)
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +401,11 @@ def primitive(complex_: BaseComplex, a: Cochain1, bound_c) -> dict:
     both orientations of every edge.  If some cycle has positive total
     weight the supremum is infinite and the premise of the construction
     fails: PositiveCycle carries a witness loop.  On success a + df is
-    uniformly bounded by 4C on every edge in exact arithmetic (the
-    construction actually achieves 2C).  The arithmetic is exact when a and
-    bound_c both are, and float otherwise; in float the guarantee degrades
-    to 6C from accumulated roundoff.
+    uniformly bounded by 2C on every edge: every edge in either orientation
+    gives f(w) >= f(u) + a(u, w) - 2C.  A float bound_c is read as the
+    exact rational it is.
     """
-    num = (Fraction if a.exact and isinstance(bound_c, (int, Fraction))
-           else float)
-    two_c = 2 * num(bound_c)
+    two_c = 2 * Fraction(bound_c)
     nv = len(complex_.vertices)
     out: dict = {v: [] for v in complex_.vertices}
 
@@ -429,7 +417,7 @@ def primitive(complex_: BaseComplex, a: Cochain1, bound_c) -> dict:
     for k in range(a.dim):
         dist: dict = {v: None for v in complex_.vertices}
         pred: dict = {}
-        dist[complex_.basepoint] = num(0)
+        dist[complex_.basepoint] = _ZERO
         inqueue = {v: False for v in complex_.vertices}
         relax_count = {v: 0 for v in complex_.vertices}
         queue = deque([complex_.basepoint])
@@ -510,11 +498,9 @@ def solve_coboundary(complex_: BaseComplex, c: Cochain2) -> Cochain1:
         ch = height - 1
         a = Cochain1(dim=c.dim)
         for y in range(ch):
-            acc = (Fraction(0),) * c.dim
+            acc = (_ZERO,) * c.dim
             for x in range(width - 1):
-                i = x * ch + y
-                acc = tuple(p + Fraction(v)
-                            for p, v in zip(acc, c.value(i)))
+                acc = tuple(p + v for p, v in zip(acc, c.value(x * ch + y)))
                 a.values[((x + 1, y), (x + 1, y + 1))] = acc
         return a
 
@@ -531,7 +517,7 @@ def solve_coboundary(complex_: BaseComplex, c: Cochain2) -> Cochain1:
                 j = edge_index[_reverse(e)]
                 coeffs[j] = coeffs.get(j, Fraction(0)) - 1
         coeffs = {j: x for j, x in coeffs.items() if x != 0}
-        rhs = [Fraction(v) for v in c.value(i)]
+        rhs = list(c.value(i))
         for (pj, pc, pr) in pivot_rows:
             if pj in coeffs:
                 factor = coeffs.pop(pj)
@@ -569,18 +555,15 @@ def solve_coboundary(complex_: BaseComplex, c: Cochain2) -> Cochain1:
     for e, j in edge_index.items():
         a.values[e] = tuple(solution[j]) if j in solution else zero
     check = d1(complex_, a)
-    for i in range(len(complex_.faces)):
-        got = tuple(Fraction(x) for x in check.value(i))
-        want = tuple(Fraction(x) for x in c.value(i))
-        if got != want:
-            raise AssertionError("coboundary solve verification failed")
+    if any(check.value(i) != c.value(i) for i in range(len(complex_.faces))):
+        raise AssertionError("coboundary solve verification failed")
     return a
 
 
 def _doubling_trend(table: ScanTable) -> tuple[int, list[int]]:
     """Longest run of consecutive length doublings with ratio growth at
     least _GROWTH_FACTOR; returns (run length, lengths along the run)."""
-    by_len = {row.length: float(row.ratio) for row in table.rows}
+    by_len = {row.length: row.ratio for row in table.rows}
     best_run, best_lengths = 0, []
     for start in by_len:
         lengths = [start]
@@ -609,14 +592,10 @@ def is_trivial(complex_: BaseComplex, c: Cochain2,
     loops as witnesses.  Otherwise a potential is synthesized with C set
     to the observed ratio bound, doubling C when the potential fails or
     misses its budget; success is a Trivial certificate carrying f and the
-    achieved edge bound, and exhausted retries leave Unknown.  Exact c
-    keeps everything exact with budget 4C; float c rounds the exact
-    solution once and works in float with budget 6C.
+    achieved edge bound against a budget of 4C, and exhausted retries
+    leave Unknown.
     """
     a = solve_coboundary(complex_, c)
-    if not c.exact:
-        a = Cochain1(dim=a.dim, values={
-            e: tuple(float(x) for x in vec) for e, vec in a.values.items()})
     table = linear_bound_scan(complex_, a, length_cap=length_cap)
 
     run, lengths = _doubling_trend(table)
@@ -635,12 +614,12 @@ def is_trivial(complex_: BaseComplex, c: Cochain2,
             pass
         else:
             worst = residual_sup(complex_, a, f)
-            budget = (4 if table.exact else 6) * bound_c
+            budget = 4 * bound_c
             if worst <= budget:
                 return TrivialityVerdict(kind="Trivial", primitive_f=f,
                                          bound_achieved=worst,
                                          bound_budget=budget, scan=table)
-        # a zero constant restarts at one, in its own arithmetic
+        # a zero constant restarts at one
         bound_c = 2 * bound_c if bound_c else bound_c + 1
     return TrivialityVerdict(
         kind="Unknown", scan=table,
@@ -653,20 +632,17 @@ def classes_equivalent_via(complex_: BaseComplex, c1: Cochain2, c2: Cochain2,
                            length_cap: Optional[int] = None
                            ) -> TrivialityVerdict:
     """Triviality of c1 - T(c2): whether the classes agree up to the given
-    invertible change of fiber coordinates.  The difference is formed
-    exactly and rounded to floats when either class holds floats."""
+    invertible change of fiber coordinates, formed exactly."""
     if c1.dim != c2.dim:
         raise ValueError("cochain dimensions differ")
     if transform.n != c1.dim:
         raise ValueError("transform size does not match cochain dimension")
     if transform.determinant() == 0:
         raise SingularMatrix("coefficient transform must be invertible")
-    num = Fraction if c1.exact and c2.exact else float
     diff = Cochain2(dim=c1.dim)
     for i in range(len(complex_.faces)):
-        v2 = transform.apply([Fraction(x) for x in c2.value(i)])
-        diff.values[i] = tuple(num(Fraction(x) - y)
-                               for x, y in zip(c1.value(i), v2))
+        diff.values[i] = tuple(x - y for x, y in zip(
+            c1.value(i), transform.apply(c2.value(i))))
     return is_trivial(complex_, diff, length_cap=length_cap)
 
 

@@ -982,7 +982,8 @@ def orbit_reduce(v: Sequence, max_steps: int = 200) -> ReductionTrace:
     nearest-integer multiple of another nonzero coordinate, which is an
     elementary unimodular move.  Exact inputs (ints and Fractions) reduce
     until at most one coordinate is nonzero, reaching the gcd; float inputs
-    reduce until stagnation or the step limit.
+    reduce until stagnation or the step limit, and a quotient that
+    overflows a double offers no move.
     """
     vec = list(v)
     n = len(vec)
@@ -1007,10 +1008,10 @@ def orbit_reduce(v: Sequence, max_steps: int = 200) -> ReductionTrace:
         for j in range(n):
             if j == i or vec[j] == 0:
                 continue
-            if exact:
-                q = math.floor(vec[i] / vec[j] + _HALF)
-            else:
-                q = math.floor(vec[i] / vec[j] + 0.5)
+            quotient = vec[i] / vec[j]
+            if not exact and not math.isfinite(quotient):
+                continue  # no float move subtracts an infinite multiple
+            q = math.floor(quotient + _HALF)
             if q == 0:
                 continue
             new = vec[i] - q * vec[j]

@@ -6,6 +6,7 @@ Exit codes: 0 decided, 2 undetermined, 1 error.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -119,7 +120,7 @@ def test_cocycle_primitive_defaults_to_the_scanned_bound(capsys, write_doc):
     assert "within budget" in out
 
 
-def test_cocycle_primitive_reports_a_missed_float_budget(capsys, write_doc):
+def test_cocycle_primitive_meets_its_budget_on_float_input(capsys, write_doc):
     values = [{"edge": [[0, 0], [1, 0]], "value": [0.1]},
               {"edge": [[0, 0], [0, 1]], "value": [0.1]},
               {"edge": [[0, 1], [1, 1]], "value": [0.1]},
@@ -129,8 +130,30 @@ def test_cocycle_primitive_reports_a_missed_float_budget(capsys, write_doc):
                       "gluing": {"dim": 1, "values": values}})
     code, out, _ = run(capsys, ["cocycle", "primitive", path])
     assert code == 0
-    assert out == ("primitive found: sup |a + df| = 0.10000000000000003 "
-                   "exceeds budget 0.10000000000000002\n")
+    # floats are read as exact binary rationals; the one face loop sums
+    # 0.3 - 0.1 over length 4, and the budget is 2C
+    two_c = 2 * (Fraction(0.3) - Fraction(0.1)) / 4
+    assert out == (f"primitive found: sup |a + df| = {two_c} "
+                   f"within budget {two_c}\n")
+
+
+@pytest.mark.parametrize("action", ["check", "compare"])
+@pytest.mark.parametrize("face", [4, 99, -1])
+def test_cocycle_rejects_out_of_range_face_indices(capsys, write_doc, action,
+                                                   face):
+    bad = {"dim": 1, "values": [{"face": 0, "value": [5]},
+                                {"face": face, "value": [7]}]}
+    doc = {"complex": {"grid": [3, 3]}}  # faces 0..3
+    if action == "check":
+        doc["obstruction"] = bad
+    else:
+        doc["first"] = {"dim": 1, "values": []}
+        doc["second"] = bad
+    code, out, err = run(capsys, ["cocycle", action, write_doc("f.json", doc)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: face index {face} out of range")
+    assert err.count("\n") == 1
 
 
 def test_cocycle_compare_classes_up_to_transform(capsys, write_doc):
@@ -329,6 +352,13 @@ def test_subgroup_reduce_prints_the_trace_summary(capsys):
     code, out, _ = run(capsys, ["subgroup", "reduce", "4", "6"])
     assert code == 0
     assert out == "reduce (4, 6) -> (2, 0) in 2 steps; final norm 2\n"
+
+
+def test_subgroup_reduce_stagnates_on_an_overflowing_quotient(capsys):
+    code, out, _ = run(capsys, ["subgroup", "reduce", "1e308", "1e-308"])
+    assert code == 0
+    assert out.startswith("reduce (1e+308, 1e-308) -> (1e+308, 1e-308) "
+                          "in 0 steps")
 
 
 @pytest.mark.parametrize("argv", [

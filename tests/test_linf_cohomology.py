@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coarsebundle import (
     RatMatrix,
@@ -25,7 +26,9 @@ from coarsebundle import (
     solve_coboundary,
 )
 from coarsebundle.errors import NotCoboundary, PositiveCycle, SingularMatrix
-from coarsebundle.linf_cohomology import BaseComplex, Cochain1, Cochain2
+from coarsebundle.linf_cohomology import (BaseComplex, Cochain1, Cochain2,
+                                          ScanRow, ScanTable, _doubling_trend,
+                                          residual_sup)
 
 
 def square_complex():
@@ -131,9 +134,15 @@ def test_grid_faces_are_closed_unit_squares():
 def test_cochain_defaults_to_zero_and_tracks_exactness():
     a = Cochain1(dim=2)
     assert a.value(((0,), (9,))) == (Fraction(0), Fraction(0))
-    assert a.exact
-    a.values[((0,), (1,))] = (0.5, 1.0)
-    assert not a.exact
+    a.set(((0,), (1,)), (0.5, 0.1))
+    assert a.value(((0,), (1,))) == (Fraction(1, 2), Fraction(0.1))
+    assert a.value(((1,), (0,))) == (Fraction(-1, 2), -Fraction(0.1))
+    c = Cochain2(dim=1, values={0: 0.1, 1: (3,), 2: [Fraction(1, 3)]})
+    assert c.values == {0: (Fraction(0.1),), 1: (3,), 2: (Fraction(1, 3),)}
+    assert all(isinstance(x, Fraction) for x in c.values[0])
+    assert type(c.values[1][0]) is int  # exact entries are kept as given
+    with pytest.raises(ValueError, match="length 2"):
+        Cochain1(dim=2, values={((0,), (1,)): (1,)})
 
 
 def test_from_map_accepts_either_orientation_at_scale():
@@ -203,7 +212,6 @@ def test_coboundary_of_coboundary_vanishes():
 def test_scan_matches_rectangle_closed_form():
     cx = grid_complex(9, 9)
     table = linear_bound_scan(cx, heisenberg_cochain(cx))
-    assert table.exact
     by_length = {row.length: row for row in table.rows}
     assert sorted(by_length) == list(range(4, 33, 2))
     for length, row in by_length.items():
@@ -237,32 +245,27 @@ def test_scan_on_general_complex_uses_face_loops():
     assert by_length[4].ratio == Fraction(1)
 
 
-def test_scan_on_a_float_grid_gives_float_rows():
+def test_scan_on_a_float_grid_gives_exact_rows():
     cx = grid_complex(5, 4)
     exact = linear_bound_scan(cx, heisenberg_cochain(cx))
     table = linear_bound_scan(cx, as_floats(heisenberg_cochain(cx)))
-    assert not table.exact
-    assert all(isinstance(row.max_abs, float) and isinstance(row.ratio, float)
-               for row in table.rows)
-    assert ([(row.length, row.max_abs, row.ratio) for row in table.rows]
-            == [(row.length, float(row.max_abs), float(row.ratio))
-                for row in exact.rows])
+    assert all(isinstance(row.max_abs, Fraction)
+               and isinstance(row.ratio, Fraction) for row in table.rows)
+    assert table.rows == exact.rows
     assert table.witnesses == exact.witnesses
-    assert isinstance(table.max_ratio, float)
+    assert table.max_ratio == Fraction(6, 7)
 
 
-def test_scan_on_a_float_general_complex_gives_float_rows():
+def test_scan_on_a_float_general_complex_gives_exact_rows():
     cx = square_complex()
     a = Cochain1(dim=1)
     for e in cx.edges:
-        a.values[e] = (1.0,)
+        a.set(e, 0.1)
     table = linear_bound_scan(cx, a)
-    assert not table.exact
     by_length = {row.length: row for row in table.rows}
-    assert by_length[4].max_abs == 4.0
-    assert isinstance(by_length[4].max_abs, float)
-    assert by_length[4].ratio == 1.0
-    assert isinstance(by_length[4].ratio, float)
+    assert by_length[4].max_abs == 4 * Fraction(0.1)
+    assert by_length[4].ratio == Fraction(0.1)
+    assert isinstance(by_length[4].ratio, Fraction)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -278,16 +281,11 @@ def test_grid_scan_matches_every_rectangle(seed):
         oracle = rectangle_maxima(cx, cochain)
         assert sorted(oracle) == [row.length for row in table.rows]
         for row in table.rows:
-            if cochain.exact:
-                assert row.max_abs == oracle[row.length]
-            else:
-                assert row.max_abs == pytest.approx(oracle[row.length],
-                                                    rel=1e-12)
+            assert row.max_abs == oracle[row.length]
             loop = table.witnesses[row.length]
             assert len(loop) == row.length
             assert max(abs(sum(cochain.value(e)[k] for e in loop))
-                       for k in range(2)) == pytest.approx(row.max_abs,
-                                                           rel=1e-12)
+                       for k in range(2)) == row.max_abs
 
 
 @pytest.mark.parametrize("make", [large_denominator_cochain,
@@ -295,7 +293,6 @@ def test_grid_scan_matches_every_rectangle(seed):
 def test_grid_scan_stays_exact_past_int64_scaling(make):
     cx, a = make()
     table = linear_bound_scan(cx, a)
-    assert table.exact
     oracle = rectangle_maxima(cx, a)
     assert {row.length: row.max_abs for row in table.rows} == oracle
     assert all(row.ratio == Fraction(row.max_abs, row.length)
@@ -328,15 +325,73 @@ def test_primitive_succeeds_at_the_loop_ratio_threshold():
                for i in range(len(cx.faces)))
 
 
-def test_primitive_with_a_float_bound_works_in_float():
+def test_primitive_reads_a_float_bound_exactly():
     cx = grid_complex(9, 9)
     a = heisenberg_cochain(cx)
-    f = primitive(cx, a, 2.0)
-    assert f[cx.basepoint] == (0.0,)
-    assert all(isinstance(x, float) for vals in f.values() for x in vals)
-    worst = max(max(abs(x) for x in t) for t in residual(cx, a, f).values())
-    assert isinstance(worst, float)
-    assert worst <= 6 * 2.0
+    f = primitive(cx, a, 2.5)
+    assert f == primitive(cx, a, Fraction(5, 2))
+    assert f[cx.basepoint] == (0,)
+    assert all(isinstance(x, Fraction) for vals in f.values() for x in vals)
+    worst = residual_sup(cx, a, f)
+    assert isinstance(worst, Fraction)
+    assert worst <= 2 * Fraction(5, 2)
+
+
+# small grids and the doubled square; the retries of is_trivial stay cheap
+SMALL_COMPLEXES = (grid_complex(2, 2), grid_complex(3, 2), grid_complex(3, 3),
+                   grid_complex(4, 3), square_complex())
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_primitive_meets_two_c_or_reports_a_positive_loop(data):
+    cx = data.draw(st.sampled_from(SMALL_COMPLEXES))
+    dim = data.draw(st.integers(1, 2))
+    a = Cochain1(dim=dim, values={
+        e: tuple(data.draw(small_fractions) for _ in range(dim))
+        for e in cx.edges})
+    bound_c = data.draw(st.fractions(min_value=Fraction(1, 8), max_value=2,
+                                     max_denominator=8))
+    try:
+        f = primitive(cx, a, bound_c)
+    except PositiveCycle as ex:
+        loop = ex.cycle
+        assert loop and all(loop[i - 1][1] == e[0] for i, e in enumerate(loop))
+        assert max(sum(a.value(e)[k] - 2 * bound_c for e in loop)
+                   for k in range(dim)) > 0
+    else:
+        assert residual_sup(cx, a, f) <= 2 * bound_c
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_float_cochains_decide_like_their_exact_rationals(data):
+    cx = data.draw(st.sampled_from(SMALL_COMPLEXES))
+    finite = st.floats(min_value=-4, max_value=4, allow_nan=False)
+    edge_values = {e: (data.draw(finite),) for e in cx.edges}
+    exact_edges = {e: (Fraction(x),) for e, (x,) in edge_values.items()}
+    assert (linear_bound_scan(cx, Cochain1(dim=1, values=edge_values))
+            == linear_bound_scan(cx, Cochain1(dim=1, values=exact_edges)))
+    # the doubled square has two faces on one loop: give them one value
+    xs = [data.draw(finite)] * len(cx.faces)
+    if cx.grid_shape is not None:
+        xs = [data.draw(finite) for _ in cx.faces]
+    as_float = is_trivial(cx, Cochain2(dim=1, values=dict(enumerate(xs))))
+    as_exact = is_trivial(cx, Cochain2(dim=1, values={
+        i: (Fraction(x),) for i, x in enumerate(xs)}))
+    assert as_float == as_exact
+    assert as_float.kind == "Trivial"
+    assert as_float.bound_achieved <= as_float.bound_budget
+
+
+def test_doubling_trend_counts_growth_of_exactly_three_halves():
+    ratios = {4: Fraction(1, 5), 8: Fraction(3, 10), 16: Fraction(9, 20),
+              32: Fraction(27, 40)}
+    rows = tuple(ScanRow(length=ell, max_abs=r * ell, ratio=r)
+                 for ell, r in ratios.items())
+    table = ScanTable(rows=rows, witnesses={})
+    assert _doubling_trend(table) == (3, [4, 8, 16, 32])
 
 
 def test_primitive_reports_a_checkable_positive_cycle():
@@ -416,20 +471,19 @@ def test_is_trivial_certifies_bounded_classes():
     assert verdict.bound_achieved <= 4 * verdict.bound_budget
 
 
-def test_is_trivial_on_float_input_certifies_against_six_c():
+def test_is_trivial_on_float_input_certifies_against_four_c():
     rng = random.Random(3)
     cx = grid_complex(5, 5)
     a = Cochain1(dim=1)
     for e in cx.edges:
-        a.values[e] = (rng.randint(-12, 12) / 10,)
+        a.set(e, rng.randint(-12, 12) / 10)
     verdict = is_trivial(cx, d1(cx, a))
     assert verdict.kind == "Trivial"
-    assert not verdict.scan.exact
-    assert isinstance(verdict.bound_budget, float)
-    assert verdict.bound_budget == 6 * verdict.scan.max_ratio
-    assert isinstance(verdict.bound_achieved, float)
+    assert isinstance(verdict.bound_budget, Fraction)
+    assert verdict.bound_budget == 4 * verdict.scan.max_ratio
+    assert isinstance(verdict.bound_achieved, Fraction)
     assert verdict.bound_achieved <= verdict.bound_budget
-    assert all(isinstance(x, float)
+    assert all(isinstance(x, Fraction)
                for vals in verdict.primitive_f.values() for x in vals)
 
 
@@ -439,7 +493,6 @@ def test_is_trivial_keeps_exact_input_exact(make):
     cx, a = make()
     verdict = is_trivial(cx, d1(cx, a))
     assert verdict.kind == "Trivial"
-    assert verdict.scan.exact
     assert isinstance(verdict.bound_achieved, Fraction)
     assert verdict.bound_budget == 4 * verdict.scan.max_ratio
     assert verdict.bound_achieved <= verdict.bound_budget

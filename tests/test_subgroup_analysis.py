@@ -703,6 +703,16 @@ def test_orbit_reduce_float_terminates_before_step_limit():
     assert not trace.exact
 
 
+def test_orbit_reduce_stagnates_when_a_float_quotient_overflows():
+    trace = orbit_reduce([1e308, 1e-308])
+    assert trace.stagnated and not trace.exact
+    assert trace.final == (1e308, 1e-308) and trace.step_count == 0
+    # a finite quotient to a third coordinate still gives moves
+    trace = orbit_reduce([1e308, 1e-308, 3e307])
+    assert trace.step_count > 0
+    assert trace.final[1] == 1e-308
+
+
 def test_orbit_reduce_needs_two_coordinates():
     with pytest.raises(DimensionTooSmall):
         orbit_reduce([5])
