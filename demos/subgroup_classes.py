@@ -60,7 +60,8 @@ def main():
           f"steps; gcd is {math.gcd(252, 105)}")
     golden = (1 + math.sqrt(5)) / 2
     trace = orbit_reduce([1.0, golden])
-    print(f"  (1, golden ratio) decays toward zero:")
+    print(f"  (1, golden ratio) decays geometrically to its gcd "
+          f"{trace.final[0]} in {trace.step_count} steps:")
     for k in (5, 10, 20, 40):
         if k < len(trace.norms):
             print(f"    step {k:>2}: norm {trace.norms[k]:.3e} "

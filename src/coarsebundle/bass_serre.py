@@ -431,21 +431,24 @@ def carries_holonomy(ball: TreeBall, h: Halfspace, R: float,
     margin = max(0, int(interior_margin))
     depth_limit = max(0, ball.radius - margin)
 
-    hs_label_ids = np.unique(ball.label_ids[h.members])
-    hs_labels = [ball.labels[int(j)] for j in hs_label_ids]
-    table = _distance_table(list(ball.labels), hs_labels)
-    dist_to_hs = table.min(axis=1)
+    targets = Counter(ball.label_ids[ball.depth <= depth_limit].tolist())
+    return _score(ball.labels, np.unique(ball.label_ids[h.members]),
+                  targets, R, ball.radius, margin)
 
-    targets = ball.label_ids[ball.depth <= depth_limit]
-    per_vertex = dist_to_hs[targets]
-    covered = int(np.count_nonzero(per_vertex <= R + DISTANCE_TOL))
-    total = int(targets.shape[0])
-    worst = float(per_vertex.max()) if total else 0.0
+
+def _score(labels, present, targets: Counter, R: float, depth: int,
+           margin: int) -> CoverageReport:
+    """Coverage of the target label counts (label id -> vertices) by the
+    label ids ``present`` in a halfspace, at radius R."""
+    hs_labels = [labels[int(j)] for j in sorted(present)]
+    dist = _distance_table(labels, hs_labels).min(axis=1)
+    covered = sum(c for lid, c in targets.items()
+                  if dist[lid] <= R + DISTANCE_TOL)
     return CoverageReport(
         radius_R=float(R),
-        covered_fraction=Fraction(covered, total),
-        worst_gap=worst,
-        depth=ball.radius,
+        covered_fraction=Fraction(covered, sum(targets.values())),
+        worst_gap=float(max(dist[lid] for lid in targets)),
+        depth=depth,
         interior_margin=margin,
     )
 
@@ -488,20 +491,6 @@ def _state_coverage(g: GraphOfGroups, base: str, radius: int, R: float,
     whole = label_counts(spheres)
     margin = max(0, int(interior_margin))
     targets = label_counts(spheres[:max(0, radius - margin) + 1])
-    total = sum(targets.values())
-
-    def score(present) -> CoverageReport:
-        hs_labels = [labels[j] for j in sorted(present)]
-        dist = _distance_table(labels, hs_labels).min(axis=1)
-        covered = sum(c for lid, c in targets.items()
-                      if dist[lid] <= R + DISTANCE_TOL)
-        return CoverageReport(
-            radius_R=float(R),
-            covered_fraction=Fraction(covered, total),
-            worst_gap=float(max(dist[lid] for lid in targets)),
-            depth=radius,
-            interior_margin=margin,
-        )
 
     rows = []
     for pos in sorted(range(len(g.edges)), key=lambda p: g.edges[p].id):
@@ -513,8 +502,9 @@ def _state_coverage(g: GraphOfGroups, base: str, radius: int, R: float,
             continue
         d, state = rep
         sub = label_counts(grow(state, radius - d))
-        inside = score(sub)
-        outside = score(lid for lid, c in whole.items() if c > sub[lid])
+        inside = _score(labels, sub, targets, R, radius, margin)
+        outside = _score(labels, (lid for lid, c in whole.items()
+                                  if c > sub[lid]), targets, R, radius, margin)
         # a tree edge crossed iota to tau has its subtree on the tau side
         pair = (outside, inside) if state[2] else (inside, outside)
         rows.append((g.edges[pos].id, pair))

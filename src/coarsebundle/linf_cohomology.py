@@ -486,13 +486,24 @@ class TrivialityVerdict:
     note: str = ""
 
 
+def _check_faces(complex_: BaseComplex, c: Cochain2) -> None:
+    """ValueError for a key of c that is not a face index of the complex."""
+    count = len(complex_.faces)
+    for i in c.values:
+        if not isinstance(i, int) or not 0 <= i < count:
+            raise ValueError(f"face index {i!r} out of range: the complex "
+                             f"has {count} faces")
+
+
 def solve_coboundary(complex_: BaseComplex, c: Cochain2) -> Cochain1:
     """Some 1-cochain a with da = c, exact; NotCoboundary when none exists.
 
     Grids are solved in closed form: horizontal edges get zero and each
     vertical edge accumulates the cells to its left in its row.  General
     complexes go through sparse exact elimination on the face-edge system.
+    A key of c outside the complex's face indices is a ValueError.
     """
+    _check_faces(complex_, c)
     if complex_.grid_shape is not None:
         width, height = complex_.grid_shape
         ch = height - 1
@@ -639,6 +650,8 @@ def classes_equivalent_via(complex_: BaseComplex, c1: Cochain2, c2: Cochain2,
         raise ValueError("transform size does not match cochain dimension")
     if transform.determinant() == 0:
         raise SingularMatrix("coefficient transform must be invertible")
+    _check_faces(complex_, c1)
+    _check_faces(complex_, c2)
     diff = Cochain2(dim=c1.dim)
     for i in range(len(complex_.faces)):
         diff.values[i] = tuple(x - y for x, y in zip(

@@ -9,12 +9,12 @@ elementary, lattice (finite index in the modular group, decided by a
 Stallings fold that also proves infinite index), free Schottky-type with a
 ping-pong certificate on closed arcs of the projective line with rational
 endpoints or a commutator trace below -2, or honest Unknown.  Third, a
-greedy integer-matrix orbit reduction shortens a vector by elementary
-unimodular moves; an exact vector reduces to its gcd on the first axis.
+greedy integer-matrix orbit reduction moves a vector by elementary
+unimodular moves to its gcd on the first axis.
 
-Rational inputs are decided exactly, ping-pong certificates included;
-floats appear only in reported lengths and norms and in the orbit reduction
-of float vectors.
+Rational inputs are decided exactly, ping-pong certificates included, and
+the orbit reduction reads a float as the exact binary rational it is;
+floats appear only in reported lengths and norms.
 """
 
 from __future__ import annotations
@@ -963,80 +963,55 @@ class ReductionTrace:
     final: tuple
     norms: tuple[float, ...]
     transform: IntMatrix
-    exact: bool
-    stagnated: bool
 
     @property
     def step_count(self) -> int:
         return len(self.norms) - 1
 
 
-def _euclid_norm(vec: Sequence) -> float:
-    return math.sqrt(sum(float(x) * float(x) for x in vec))
+def _norm(vec: Sequence[Fraction]) -> float:
+    return math.hypot(*map(float, vec))
 
 
-def orbit_reduce(v: Sequence, max_steps: int = 200) -> ReductionTrace:
-    """Greedy norm reduction along the integer-matrix orbit of a vector.
+def orbit_reduce(v: Sequence) -> ReductionTrace:
+    """Reduce a rational vector to its gcd by integer-matrix moves.
 
-    Each step picks the largest coordinate and subtracts the best
-    nearest-integer multiple of another nonzero coordinate, which is an
-    elementary unimodular move.  Exact inputs (ints and Fractions) reduce
-    until at most one coordinate is nonzero, reaching the gcd; float inputs
-    reduce until stagnation or the step limit, and a quotient that
-    overflows a double offers no move.
+    Entries are read as ``Fraction(x)``, so a float is the binary rational
+    it is.  Each step picks the largest coordinate x_i and subtracts the
+    multiple floor(x_i / x_j + 1/2) of another nonzero coordinate x_j that
+    leaves it smallest, an elementary unimodular move; the gcd then moves
+    to the first axis with a positive sign.  No step limit is needed: a
+    move replaces x_i by at most half of it, and all entries stay on the
+    lattice (1/D)Z of their common denominator D, so the sum of the
+    |entries| falls by at least 1/D each step until one nonzero entry, the
+    gcd, is left.  ``transform`` maps ``start`` to ``final``.
     """
-    vec = list(v)
+    vec = [Fraction(x) for x in v]
     n = len(vec)
     if n < 2:
         raise DimensionTooSmall("need at least two coordinates")
-    exact = all(isinstance(x, (int, Fraction)) for x in vec)
-    if exact:
-        vec = [Fraction(x) for x in vec]
-    else:
-        vec = [float(x) for x in vec]
-
     start = tuple(vec)
-    transform = IntMatrix.identity(n)
-    norms = [_euclid_norm(vec)]
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    norms = [_norm(vec)]
 
-    for _ in range(max_steps):
-        nonzero = [idx for idx in range(n) if vec[idx] != 0]
-        if len(nonzero) <= 1:
-            break
+    while sum(1 for x in vec if x) > 1:
         i = max(range(n), key=lambda idx: (abs(vec[idx]), -idx))
         best = None
         for j in range(n):
-            if j == i or vec[j] == 0:
-                continue
-            quotient = vec[i] / vec[j]
-            if not exact and not math.isfinite(quotient):
-                continue  # no float move subtracts an infinite multiple
-            q = math.floor(quotient + _HALF)
-            if q == 0:
-                continue
-            new = vec[i] - q * vec[j]
-            if best is None or abs(new) < best[0]:
-                best = (abs(new), j, q, new)
-        if best is None or best[0] >= abs(vec[i]):
-            return ReductionTrace(
-                start=start, final=tuple(vec), norms=tuple(norms),
-                transform=transform, exact=exact, stagnated=True)
-        _, j, q, new = best
-        vec[i] = new
-        rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-        rows[i][j] = -q
-        transform = IntMatrix(rows) @ transform
-        norms.append(_euclid_norm(vec))
-    nonzero = [idx for idx in range(n) if vec[idx] != 0]
-    if exact and len(nonzero) == 1 and (nonzero[0] != 0 or vec[0] < 0):
+            if j != i and vec[j]:
+                q = math.floor(vec[i] / vec[j] + _HALF)
+                new = vec[i] - q * vec[j]
+                if best is None or abs(new) < abs(best[2]):
+                    best = (j, q, new)
+        j, q, vec[i] = best
+        rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
+        norms.append(_norm(vec))
+    nonzero = [idx for idx in range(n) if vec[idx]]
+    if nonzero and (nonzero[0] != 0 or vec[0] < 0):
         k = nonzero[0]
         sign = 1 if vec[k] > 0 else -1
-        rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-        rows[0][0] = rows[k][k] = 0
-        rows[0][k] = sign
-        rows[k][0] = sign
         vec[0], vec[k] = sign * vec[k], sign * vec[0]
-        transform = IntMatrix(rows) @ transform
-    return ReductionTrace(
-        start=start, final=tuple(vec), norms=tuple(norms),
-        transform=transform, exact=exact, stagnated=False)
+        rows[0], rows[k] = ([sign * x for x in rows[k]],
+                            [sign * x for x in rows[0]])
+    return ReductionTrace(start=start, final=tuple(vec), norms=tuple(norms),
+                          transform=IntMatrix(rows))

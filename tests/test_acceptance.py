@@ -215,12 +215,14 @@ def test_acceptance_07_orbit_reduction():
         assert trace.final == (Fraction(g), Fraction(0))
         assert trace.norms[-1] == float(g)
 
+    # the float golden ratio is a binary rational: its exact reduction
+    # decays geometrically all the way down to its positive gcd
     golden = (1 + math.sqrt(5)) / 2
-    trace = orbit_reduce([1.0, golden], max_steps=40)
-    for k in range(len(trace.norms)):
-        if k > 40:
-            break
-        assert trace.norms[k] <= 0.62 ** (k - 2) + 1e-12, (k, trace.norms[k])
+    trace = orbit_reduce([1.0, golden])
+    for k, norm in enumerate(trace.norms):
+        assert norm <= 0.62 ** (k - 2) + 1e-12, (k, norm)
+    assert trace.step_count < 100
+    assert trace.final[0] > 0 and trace.final[1] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -354,11 +354,23 @@ def test_subgroup_reduce_prints_the_trace_summary(capsys):
     assert out == "reduce (4, 6) -> (2, 0) in 2 steps; final norm 2\n"
 
 
-def test_subgroup_reduce_stagnates_on_an_overflowing_quotient(capsys):
+def test_subgroup_reduce_reaches_the_gcd_on_an_overflowing_quotient(capsys):
     code, out, _ = run(capsys, ["subgroup", "reduce", "1e308", "1e-308"])
     assert code == 0
-    assert out.startswith("reduce (1e+308, 1e-308) -> (1e+308, 1e-308) "
-                          "in 0 steps")
+    # decimals are exact, so the gcd is 10^-308 and the norm is finite
+    assert f" -> (1/{10 ** 308}, 0) in " in out
+    assert out.endswith("final norm 1e-308\n")
+
+
+@pytest.mark.parametrize("entries, final", [
+    (["0.1", "0.3"], "(1/10, 0)"),
+    (["1.5", "2.5"], "(1/2, 0)"),
+    (["252", "105"], "(21, 0)"),
+])
+def test_subgroup_reduce_reads_decimals_exactly(capsys, entries, final):
+    code, out, _ = run(capsys, ["subgroup", "reduce", *entries])
+    assert code == 0
+    assert f" -> {final} in " in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -407,8 +419,7 @@ def test_json_report_for_subgroup_reduce(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["verdict"]["final"] == ["2", "0"]
-    assert report["verdict"]["steps"] == 2
-    assert report["verdict"]["exact"] is True
+    assert report["verdict"] == {"final": ["2", "0"], "steps": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -540,3 +540,17 @@ def test_classes_equivalent_input_validation():
         classes_equivalent_via(cx, tau, tau, RatMatrix([[0]]))
     with pytest.raises(ValueError):
         classes_equivalent_via(cx, tau, tau, RatMatrix([[1, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("face", [4, 99, -1, "0", 1.0])
+def test_a_face_index_outside_the_complex_is_a_value_error(face):
+    cx = grid_complex(3, 3)  # faces 0..3
+    bad = Cochain2(dim=1, values={0: (5,), face: (7,)})
+    zero = Cochain2(dim=1)
+    with pytest.raises(ValueError, match="out of range"):
+        is_trivial(cx, bad)
+    with pytest.raises(ValueError, match="out of range"):
+        solve_coboundary(square_complex(), Cochain2(dim=1, values={face: (1,)}))
+    for c1, c2 in ((bad, zero), (zero, bad)):
+        with pytest.raises(ValueError, match="out of range"):
+            classes_equivalent_via(cx, c1, c2, RatMatrix([[1]]))

@@ -8,7 +8,7 @@ from operator import matmul
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coarsebundle.core_algebra import IntMatrix, RatMatrix
 from coarsebundle.errors import DimensionTooSmall, NotInLattice, RankUnsupported
@@ -686,7 +686,6 @@ def test_orbit_reduce_trace_invariants():
         if all(x == 0 for x in vec):
             continue
         trace = orbit_reduce(vec)
-        assert trace.exact and not trace.stagnated
         # norms never increase and the transform is an exact witness
         for a, b in zip(trace.norms, trace.norms[1:]):
             assert b <= a + 1e-12
@@ -695,22 +694,61 @@ def test_orbit_reduce_trace_invariants():
         assert tuple(got) == trace.final
 
 
-def test_orbit_reduce_float_terminates_before_step_limit():
+def _rational_gcd(vec) -> Fraction:
+    """The positive generator of the Z-span of the rationals (0 if all are)."""
+    den = math.lcm(*(Fraction(x).denominator for x in vec))
+    return Fraction(math.gcd(*(int(Fraction(x) * den) for x in vec)), den)
+
+
+def test_orbit_reduce_golden_ratio_float_ends_at_its_gcd():
     golden = (1 + math.sqrt(5)) / 2
-    trace = orbit_reduce([1.0, golden], max_steps=100)
+    trace = orbit_reduce([1.0, golden])
+    g = _rational_gcd([Fraction(1), Fraction(golden)])
+    assert trace.final == (g, 0) and g > 0
     assert trace.step_count < 100
-    assert trace.norms[-1] < 1e-9
-    assert not trace.exact
 
 
-def test_orbit_reduce_stagnates_when_a_float_quotient_overflows():
+def test_orbit_reduce_reaches_the_gcd_when_a_float_quotient_overflows():
+    # the quotient 1e616 is far outside float range; exact arithmetic
+    # still moves on it
     trace = orbit_reduce([1e308, 1e-308])
-    assert trace.stagnated and not trace.exact
-    assert trace.final == (1e308, 1e-308) and trace.step_count == 0
-    # a finite quotient to a third coordinate still gives moves
-    trace = orbit_reduce([1e308, 1e-308, 3e307])
+    assert trace.final == (_rational_gcd(trace.start), 0)
     assert trace.step_count > 0
-    assert trace.final[1] == 1e-308
+    trace = orbit_reduce([1e308, 1e-308, 3e307])
+    assert trace.final == (_rational_gcd(trace.start), 0, 0)
+
+
+def test_orbit_reduce_reads_floats_as_binary_rationals():
+    # 1.5 = 3/2 and 2.5 = 5/2 have gcd 1/2, positive and on the first axis
+    assert orbit_reduce([1.5, 2.5]).final == (Fraction(1, 2), 0)
+    assert orbit_reduce(["0.1", "0.3"]).final == (Fraction(1, 10), 0)
+
+
+def test_orbit_reduce_norms_stay_finite_past_the_square_root_of_max_float():
+    # squaring 1e200 overflows a double; hypot does not
+    trace = orbit_reduce([10 ** 200, 3])
+    assert trace.norms[0] == 1e200
+    assert trace.final == (1, 0)
+
+
+orbit_entries = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(max_denominator=50).filter(lambda x: abs(x) < 10 ** 6),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(orbit_entries, min_size=2, max_size=4))
+def test_orbit_reduce_ends_at_the_gcd_by_a_unimodular_map(vec):
+    trace = orbit_reduce(vec)
+    exact = [Fraction(x) for x in vec]
+    g = _rational_gcd(exact)
+    assert trace.final == (g,) + (0,) * (len(vec) - 1) and g >= 0
+    assert trace.transform.is_unimodular()
+    assert tuple(trace.transform.to_rat().apply(exact)) == trace.final
+    assert all(b <= a for a, b in zip(trace.norms, trace.norms[1:]))
+    # a float vector is its Fraction conversion
+    assert orbit_reduce(exact) == trace
 
 
 def test_orbit_reduce_needs_two_coordinates():
