@@ -290,8 +290,6 @@ def build_ball(g: GraphOfGroups, base: str, radius: int,
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     cap_value = resolve_vertex_cap(cap)
-    if cap_value < 1:
-        raise BallTooLarge(cap_value)
 
     descs, crossings = _vertex_descriptors(g)
 

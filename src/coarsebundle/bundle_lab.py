@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .bass_serre import resolve_vertex_cap
-from .core_algebra import IntMatrix
+from .core_algebra import IntMatrix, RatMatrix
 from .errors import (NonBijectiveTabulated, SingularGenerator, SingularMatrix,
                      TooFewRadii, WindowTooLarge)
 
@@ -34,59 +35,34 @@ _DRIFT_HORIZONS = 64  # truncation horizons of drift_seminorm
 
 
 @dataclass(frozen=True)
-class Translation:
-    """Fiberwise shift by an integer vector."""
-
-    vector: tuple
-
-    def apply(self, base_vertex, f: tuple) -> tuple:
-        return tuple(x + t for x, t in zip(f, self.vector))
-
-    @property
-    def dim(self) -> int:
-        return len(self.vector)
-
-
-@dataclass(frozen=True)
-class Linear:
-    """Fiberwise invertible integer-linear map."""
-
-    matrix: IntMatrix
-
-    def __post_init__(self):
-        if self.matrix.determinant() == 0:
-            raise SingularMatrix("linear gluing matrix must be invertible")
-
-    def apply(self, base_vertex, f: tuple) -> tuple:
-        rows = self.matrix.rows
-        return tuple(sum(rows[i][j] * f[j] for j in range(len(f)))
-                     for i in range(len(f)))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.n
-
-
-@dataclass(frozen=True)
 class Affine:
-    """Invertible integer-linear map followed by a shift."""
+    """Fiberwise integer affine map f -> M f + s with M invertible.  Every
+    matrix gluing is one: `Translation` and `Linear` build it."""
 
     matrix: IntMatrix
     vector: tuple
 
     def __post_init__(self):
         if self.matrix.determinant() == 0:
-            raise SingularMatrix("affine gluing matrix must be invertible")
+            raise SingularMatrix("gluing matrix must be invertible")
 
     def apply(self, base_vertex, f: tuple) -> tuple:
-        rows = self.matrix.rows
-        lin = tuple(sum(rows[i][j] * f[j] for j in range(len(f)))
-                    for i in range(len(f)))
-        return tuple(x + t for x, t in zip(lin, self.vector))
+        return tuple(sum(m * x for m, x in zip(row, f)) + t
+                     for row, t in zip(self.matrix.rows, self.vector))
 
     @property
     def dim(self) -> int:
         return self.matrix.n
+
+
+def Translation(vector) -> Affine:
+    """Fiberwise shift by an integer vector."""
+    return Affine(IntMatrix.identity(len(vector)), tuple(vector))
+
+
+def Linear(matrix: IntMatrix) -> Affine:
+    """Fiberwise invertible integer-linear map."""
+    return Affine(matrix, (0,) * matrix.n)
 
 
 @dataclass(frozen=True)
@@ -106,7 +82,7 @@ class Tabulated:
         return 1
 
 
-GluingMap = Union[Translation, Linear, Affine, Tabulated]
+GluingMap = Union[Affine, Tabulated]
 
 
 @dataclass(frozen=True)
@@ -251,19 +227,6 @@ class TotalSpaceBall:
                 for i, v in enumerate(labels)}
 
 
-def _map_parts(gmap) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix and shift of a non-tabulated gluing map as int64 arrays."""
-    if isinstance(gmap, Translation):
-        d = gmap.dim
-        return (np.eye(d, dtype=np.int64),
-                np.array(gmap.vector, dtype=np.int64))
-    if isinstance(gmap, Linear):
-        return (np.array(gmap.matrix.rows, dtype=np.int64),
-                np.zeros(gmap.dim, dtype=np.int64))
-    return (np.array(gmap.matrix.rows, dtype=np.int64),
-            np.array(gmap.vector, dtype=np.int64))
-
-
 def _window_interval(window) -> tuple[int, int]:
     """Normalize a window given as half-width or as an explicit (lo, hi)."""
     if isinstance(window, int):
@@ -303,8 +266,6 @@ def _fiber_box(fiber_window, dim: int):
     """The fiber window's points as tuples, in vertex-id order."""
     lo, hi = _window_interval(fiber_window)
     rng = range(lo, hi + 1)
-    if dim == 1:
-        return [(x,) for x in rng]
     pts = [()]
     for _ in range(dim):
         pts = [p + (x,) for p in pts for x in rng]
@@ -324,10 +285,11 @@ def _fiber_offset(f, window: tuple, dim: int) -> Optional[int]:
     return k
 
 
-def _linear_gluing(gmap, coords: np.ndarray, lo: int, hi: int):
+def _linear_gluing(gmap: Affine, coords: np.ndarray, lo: int, hi: int):
     """Box offsets (sources, their images, sources whose image leaves the
     box, points whose preimage leaves it) of a matrix gluing map."""
-    mat, shift = _map_parts(gmap)
+    mat = np.array(gmap.matrix.rows, dtype=np.int64)
+    shift = np.array(gmap.vector, dtype=np.int64)
     imgs = coords @ mat.T + shift
     inside = np.all((imgs >= lo) & (imgs <= hi), axis=1)
     # backward pass: window points whose integral preimage exists but falls
@@ -562,19 +524,16 @@ def growth_class(seq: Sequence[int], flags: Sequence[bool]) -> GrowthClass:
 # drift seminorms of periodic words
 
 
-def _as_float_matrix(m) -> np.ndarray:
-    if hasattr(m, "to_float"):
-        return np.array(m.to_float())
-    return np.array(m, dtype=float)
-
-
 def _word_matrices(word: Sequence) -> list[np.ndarray]:
+    """Float arrays of the word's letters, each first tested for singularity
+    exactly (entries of a letter that is no RatMatrix read as `Fraction`)."""
     mats = []
     for g in word:
-        arr = _as_float_matrix(g)
-        if abs(float(np.linalg.det(arr))) < 1e-12:
+        if not isinstance(g, RatMatrix):
+            g = RatMatrix([[Fraction(x) for x in row] for row in g])
+        if g.determinant() == 0:
             raise SingularGenerator("gluing word contains a singular matrix")
-        mats.append(arr)
+        mats.append(g.to_float())
     return mats
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import decimal
 import json
 import sys
 from fractions import Fraction
@@ -172,6 +173,16 @@ def _fmt_vec(vec) -> str:
     return "(" + ", ".join(str(x) for x in vec) + ")"
 
 
+def _fmt_g6(x: Fraction) -> str:
+    """|x| as ``:.6g`` prints a float, but rounded from the exact value, so
+    no float range bounds it (1e-400 stays 1e-400)."""
+    d = decimal.Context(prec=6).divide(abs(x.numerator), x.denominator)
+    exp = d.adjusted()
+    if -4 <= exp < 6:
+        return f"{d.normalize():f}"
+    return f"{d.scaleb(-exp).normalize():f}e{exp:+03d}"
+
+
 def _load_complex(doc) -> BaseComplex:
     if "grid" in doc:
         w, h = doc["grid"]
@@ -212,8 +223,7 @@ def _load_map(doc):
     if kind == "linear":
         return Linear(IntMatrix(doc["matrix"]))
     if kind == "affine":
-        return Affine(IntMatrix(doc["matrix"]),
-                      tuple(int(x) for x in doc["vector"]))
+        return Affine(IntMatrix(doc["matrix"]), tuple(map(int, doc["vector"])))
     if kind == "phi_example":
         return phi_example_spec().edge_map
     raise ValueError(f"unknown gluing map type {kind!r}")
@@ -441,8 +451,10 @@ def cmd_subgroup(args, argv: list[str]) -> int:
     raw = " ".join(args.inputs).replace(",", " ").split()
     vec = [Fraction(x) for x in raw]
     trace = orbit_reduce(vec)
+    # the final vector is (g, 0, ...), so its norm is |g| exactly; the float
+    # norms of the JSON evidence underflow below the smallest double
     text = (f"reduce {_fmt_vec(trace.start)} -> {_fmt_vec(trace.final)} in "
-            f"{trace.step_count} steps; final norm {trace.norms[-1]:.6g}")
+            f"{trace.step_count} steps; final norm {_fmt_g6(trace.final[0])}")
     return _emit(args, argv, {"vector": trace.start},
                  {"final": trace.final, "steps": trace.step_count},
                  {"norms": trace.norms,

@@ -169,8 +169,6 @@ def modular_holonomy(g: GraphOfGroups, basepoint: Optional[str] = None) -> Holon
                     transports[dst] = cross @ transports[v]
                     tree.append(e.id)
                     queue.append(dst)
-    if len(transports) != len(g.vertices):
-        raise Disconnected("graph is not connected")
     tree_set = frozenset(tree)
     gens = []
     for e in edges_sorted:

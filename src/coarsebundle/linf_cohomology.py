@@ -438,8 +438,6 @@ def primitive(complex_: BaseComplex, a: Cochain1, bound_c) -> dict:
                         queue.append(w)
                         inqueue[w] = True
         for v in complex_.vertices:
-            if dist[v] is None:
-                raise ValueError("vertex unreachable from basepoint")
             out[v].append(dist[v])
     return {v: tuple(vals) for v, vals in out.items()}
 

@@ -17,8 +17,7 @@ import numpy as np
 
 from coarsebundle.bass_serre import resolve_vertex_cap
 from coarsebundle.bundle_lab import (GrowthSeries, Tabulated, _base_graph,
-                                     _fiber_box, _map_parts,
-                                     _window_interval)
+                                     _fiber_box, _window_interval)
 from coarsebundle.errors import NonBijectiveTabulated, WindowTooLarge
 
 
@@ -75,7 +74,8 @@ def oracle_total_space(spec, base_window, fiber_window, origin, cap=None):
     for (b, b2) in base_edges:
         gmap = spec.map_for((b, b2))
         if not isinstance(gmap, Tabulated):
-            mat, shift = _map_parts(gmap)
+            mat = np.array(gmap.matrix.rows, dtype=np.int64)
+            shift = np.array(gmap.vector, dtype=np.int64)
             imgs = fiber_arr @ mat.T + shift
             inside = np.all((imgs >= flo) & (imgs <= fhi), axis=1)
             for f, row, ok in zip(fiber_points, imgs.tolist(),

@@ -306,8 +306,10 @@ def _oracle_todd_coxeter(relators, subgroup_words, letters, limit=64):
     for word in subgroup_words:
         scan_and_fill(0, word)
     while True:
-        progress = False
-        for c in range(len(table)):
+        # a pass progresses when it merges cosets or defines new ones, be it
+        # here or inside scan_and_fill, whose cosets lie past this range
+        size, progress = len(table), False
+        for c in range(size):
             if find(c) != c:
                 continue
             for word in relators:
@@ -320,10 +322,9 @@ def _oracle_todd_coxeter(relators, subgroup_words, letters, limit=64):
                     table.append({})
                     parent.append(len(parent))
                     set_entry(c, letter, len(table) - 1)
-                    progress = True
             if len(table) > limit:
                 raise RuntimeError("oracle enumeration exceeded its limit")
-        if not progress:
+        if not progress and len(table) == size:
             break
     live = [c for c in range(len(table)) if find(c) == c]
 

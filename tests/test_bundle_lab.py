@@ -37,7 +37,7 @@ from coarsebundle.bundle_lab import (
     TooFewRadii,
     WindowTooLarge,
 )
-from coarsebundle.errors import SingularMatrix
+from coarsebundle.errors import SingularGenerator, SingularMatrix
 
 
 def line_spec(shift=(0,)):
@@ -76,6 +76,14 @@ def test_linear_map_rejects_singular_matrices():
 def test_affine_map_applies_the_matrix_then_the_shift():
     aff = Affine(IntMatrix([[2]]), (1,))
     assert aff.apply(0, (3,)) == (7,)
+
+
+def test_translation_and_linear_build_affine_maps():
+    assert Translation((4, -1)) == Affine(IntMatrix.identity(2), (4, -1))
+    assert Translation(vector=[3]) == Affine(IntMatrix([[1]]), (3,))
+    lin = IntMatrix([[2, 1], [1, 1]])
+    assert Linear(lin) == Affine(lin, (0, 0))
+    assert Linear(matrix=lin).apply(0, (1, 0)) == (2, 1)
 
 
 def test_spec_validates_base_and_map_dimensions():
@@ -332,12 +340,20 @@ def test_array_windows_match_the_reference_builder(case):
             == _growth_or_error(oracle_ball_growth, want, rmax))
 
 
+def _map_shape(gmap):
+    """Which shape a gluing map has, read from its data: a translation has
+    the identity matrix, a linear map the zero shift."""
+    if isinstance(gmap, Tabulated):
+        return "tabulated"
+    if gmap.matrix.is_identity():
+        return "translation"
+    return "affine" if any(gmap.vector) else "linear"
+
+
 def test_corpus_covers_clipped_origins_and_every_map_kind():
     cases = _window_corpus()
-    kinds = set()
-    for spec, *_ in cases:
-        kinds.update(type(m).__name__ for m in spec._all_maps())
-    assert kinds == {"Translation", "Linear", "Affine", "Tabulated"}
+    shapes = {_map_shape(m) for spec, *_ in cases for m in spec._all_maps()}
+    assert shapes == {"translation", "linear", "affine", "tabulated"}
     assert {type(c[0].base).__name__ for c in cases} == {"str", "FiniteBase"}
     assert {c[0].base for c in cases if isinstance(c[0].base, str)} == {
         "line", "grid"}
@@ -537,6 +553,20 @@ def test_drift_input_validation():
         drift_seminorm([], (1, 0))
     with pytest.raises(ValueError):
         drift_seminorm([IntMatrix([[1, 1], [0, 1]])], (1, 0, 0))
+
+
+def test_drift_letters_are_tested_for_singularity_exactly():
+    tiny = RatMatrix.diagonal([Fraction(1, 10**7)] * 2)
+    assert drift_seminorm([tiny], (1, 0)).value == 0.0
+    assert foliation_kernel([tiny]).dimension == 2
+    # a float letter is the binary rational it is: invertible however small
+    # its determinant, singular only when that is exactly 0
+    assert foliation_kernel([[[1e-7, 0.0], [0.0, 1e-7]]]).dimension == 2
+    for word in ([[[1.0, 2.0], [0.5, 1.0]]], [IntMatrix([[2, 4], [1, 2]])]):
+        with pytest.raises(SingularGenerator):
+            drift_seminorm(word, (1, 0))
+        with pytest.raises(SingularGenerator):
+            foliation_kernel(word)
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,23 @@ def test_subgroup_reduce_reaches_the_gcd_on_an_overflowing_quotient(capsys):
     assert out.endswith("final norm 1e-308\n")
 
 
+@pytest.mark.parametrize("entries, norm", [
+    (["1e-400", "2e-400"], "1e-400"),
+    (["252", "105"], "21"),
+    (["1", "1000000"], "1"),
+    (["1e6", "3e6"], "1e+06"),
+    (["123456789", "0"], "1.23457e+08"),
+    (["0.00001", "0.00003"], "1e-05"),
+    (["0", "0"], "0"),
+])
+def test_subgroup_reduce_prints_the_exact_final_norm(capsys, entries, norm):
+    code, out, _ = run(capsys, ["subgroup", "reduce", *entries])
+    assert code == 0
+    # the text norm is |g| of the final (g, 0, ...) to 6 digits, laid out
+    # as :.6g lays out a float, however small g is
+    assert out.endswith(f"; final norm {norm}\n")
+
+
 @pytest.mark.parametrize("entries, final", [
     (["0.1", "0.3"], "(1/10, 0)"),
     (["1.5", "2.5"], "(1/2, 0)"),
