@@ -12,6 +12,7 @@ trusted at radii that stay clear of clipped vertices.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,6 +29,8 @@ _R2_MARGIN = 0.02
 _PERFECT_FIT = 0.999
 _UNIT_CIRCLE_TOL = 1e-9
 _DRIFT_HORIZONS = 64  # truncation horizons of drift_seminorm
+_INT64_SAFE = 2 ** 62  # bound on the int64 values of a matrix gluing
+_FILL_CHUNK = 1 << 16  # edges per block of a window build (or a row)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +167,13 @@ class TotalSpaceBall:
     order, so the first coordinate is the most significant mixed-radix
     digit) and |F| is the number of box points.  The neighbors of id i are
     ``indices[indptr[i]:indptr[i + 1]]``: every edge is stored in both
-    directions, and parallel edges and loops are kept.  ``clip[i]`` marks a
-    vertex whose model neighborhood could not be fully realized inside the
-    windows.  ``clipped`` and ``adjacency`` are views keyed by
-    ``(fiber tuple, base vertex)`` pairs, built on first use.
+    directions, and parallel edges and loops are kept.  Both arrays are
+    int32 while the slot count is below 2^31 and int64 beyond; the wedge
+    window of `phi_example_spec` holds 20 bytes per vertex with its clip
+    flags (39 in int64).  ``clip[i]`` marks a vertex whose model
+    neighborhood could not be fully realized inside the windows.
+    ``clipped`` and ``adjacency`` are views keyed by ``(fiber tuple, base
+    vertex)`` pairs, built on first use.
     """
 
     fiber_dim: int
@@ -287,25 +293,38 @@ def _fiber_offset(f, window: tuple, dim: int) -> Optional[int]:
 
 def _linear_gluing(gmap: Affine, coords: np.ndarray, lo: int, hi: int):
     """Box offsets (sources, their images, sources whose image leaves the
-    box, points whose preimage leaves it) of a matrix gluing map."""
-    mat = np.array(gmap.matrix.rows, dtype=np.int64)
-    shift = np.array(gmap.vector, dtype=np.int64)
-    imgs = coords @ mat.T + shift
-    inside = np.all((imgs >= lo) & (imgs <= hi), axis=1)
-    # backward pass: window points whose integral preimage exists but falls
-    # outside the window lack their gluing partner
-    pre_f = np.linalg.solve(mat.astype(float), (coords - shift).T).T
-    cand = np.rint(pre_f).astype(np.int64)
-    exact = np.all(cand @ mat.T + shift == coords, axis=1)
-    pre_inside = np.all((cand >= lo) & (cand <= hi), axis=1)
-    radix = (hi - lo + 1) ** np.arange(coords.shape[1] - 1, -1, -1)
-    return (np.flatnonzero(inside), (imgs[inside] - lo) @ radix,
-            np.flatnonzero(~inside), np.flatnonzero(exact & ~pre_inside))
+    box, points whose preimage leaves it) of a matrix gluing map, given the
+    box points as columns.  Where an int64 value (an image, a rounded
+    preimage or its image) could reach 2^62, images are Python ints and each
+    point no window point maps onto is clipped (exact when |det M| = 1)."""
+    norm = max(sum(map(abs, row)) for row in gmap.matrix.rows)
+    drift = max(map(abs, gmap.vector))
+    small = norm * max(-lo, hi) + drift < _INT64_SAFE
+    dtype = np.int64 if small else object
+    mat = np.array(gmap.matrix.rows, dtype=dtype)
+    shift = np.array(gmap.vector, dtype=dtype)[:, None]
+    imgs = mat @ coords.astype(dtype, copy=False) + shift
+    inside = ((imgs >= lo) & (imgs <= hi)).all(axis=0)
+    radix = (hi - lo + 1) ** np.arange(len(coords) - 1, -1, -1)
+    dst = (radix @ (imgs[:, inside] - lo)).astype(np.intp, copy=False)
+    if small:
+        # backward pass: window points whose integral preimage exists but
+        # falls outside the window lack their gluing partner
+        pre_f = np.linalg.solve(mat.astype(float), coords - shift)
+        small = norm * (float(np.abs(pre_f).max()) + 1) + drift < _INT64_SAFE
+    if small:
+        cand = np.rint(pre_f).astype(np.int64)
+        exact = (mat @ cand + shift == coords).all(axis=0)
+        unreached = exact & ~((cand >= lo) & (cand <= hi)).all(axis=0)
+    else:
+        unreached = np.bincount(dst, minlength=coords.shape[1]) == 0
+    return (np.flatnonzero(inside), dst, np.flatnonzero(~inside),
+            np.flatnonzero(unreached))
 
 
 def _tabulated_gluing(gmap: Tabulated, b, edge, lo: int, hi: int):
     """The same four offset arrays for a rank-one pointwise map, calling
-    ``gmap.fn`` once per window point."""
+    ``gmap.fn`` once per window point; the first two in the id dtype."""
     xs = np.arange(lo, hi + 1)
     imgs = np.array([gmap.fn(b, x) for x in range(lo, hi + 1)],
                     dtype=np.int64)
@@ -319,28 +338,43 @@ def _tabulated_gluing(gmap: Tabulated, b, edge, lo: int, hi: int):
             f"gluing over base edge {edge!r} sends both {(lo + j,)!r} and "
             f"{(lo + k,)!r} to {(int(imgs[k]),)!r}")
     inside = (imgs >= lo) & (imgs <= hi)
+    offset = _index_dtype(len(imgs))
     # a point outside the image's span has no preimage anywhere
-    return (np.flatnonzero(inside), imgs[inside] - lo,
-            np.flatnonzero(~inside),
+    return (np.flatnonzero(inside).astype(offset),
+            (imgs[inside] - lo).astype(offset), np.flatnonzero(~inside),
             np.flatnonzero((xs < imgs.min()) | (xs > imgs.max())))
 
 
-def _csr(links: list, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both-direction CSR arrays of edge blocks (src, dst) in which no
-    source and no target repeats."""
-    degree = np.zeros(n, dtype=np.int64)
-    for src, dst in links:
-        degree[src] += 1
-        degree[dst] += 1
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
-    slot = indptr[:-1].copy()
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    for src, dst in links:
-        indices[slot[src]] = dst
-        slot[src] += 1
-        indices[slot[dst]] = src
-        slot[dst] += 1
+def _index_dtype(bound: int) -> type:
+    """int32 for ids and slot positions up to ``bound``, else int64."""
+    return np.int32 if bound < 2 ** 31 else np.int64
+
+
+def _csr(fiber: list, gluing: list, fiber_degree: np.ndarray, n: int,
+         slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both-direction CSR arrays of n vertices and ``slots`` slots.
+
+    Block (a, src, a2, dst) joins the ids a + src to a2 + dst, where a and
+    a2 hold first ids of base rows and src and dst are box offsets, so that
+    neither side repeats an id.  The degree array (box degree plus one per
+    gluing block) becomes the fill cursor: each vertex's slots fill from
+    its end back."""
+    n_fiber = len(fiber_degree)
+    dtype = _index_dtype(max(n, slots))
+    indptr = np.empty(n + 1, dtype=dtype)
+    indptr[:n].reshape(-1, n_fiber)[:] = fiber_degree
+    for a, src, a2, dst in gluing:
+        indptr[(a + src).ravel()] += 1
+        indptr[(a2 + dst).ravel()] += 1
+    np.add.accumulate(indptr[:n], out=indptr[:n])
+    indptr[n] = slots
+    indices = np.empty(slots, dtype=dtype)
+    for a, src, a2, dst in reversed(fiber + gluing):
+        ids, ids2 = (a + src).ravel(), (a2 + dst).ravel()
+        for at, values in ((ids2, ids), (ids, ids2)):
+            pos = indptr[at] - 1
+            indptr[at] = pos
+            indices[pos] = values
     return indptr, indices
 
 
@@ -381,41 +415,55 @@ def build_total_space(spec: GluingSpec, base_window, fiber_window,
         raise ValueError("origin lies outside the windows")
 
     coords = (np.indices((hi - lo + 1,) * dim, dtype=np.int64)
-              .reshape(dim, n_fiber).T + lo)
+              .reshape(dim, n_fiber) + lo)
+    # fiber edges, one axis at a time in blocks of base rows
+    rows = np.arange(len(base_vertices))[:, None] * n_fiber
+    step = max(1, _FILL_CHUNK // n_fiber)
+    axes = [(k, k + (hi - lo + 1) ** (dim - 1 - j))
+            for j, k in enumerate(map(np.flatnonzero, coords < hi))]
+    fiber = [(rows[r:r + step], src, rows[r:r + step], dst)
+             for src, dst in axes for r in range(0, len(rows), step)]
     # a point on either face of the fiber box misses a lattice neighbor
-    clip = np.empty((len(base_vertices), n_fiber), dtype=bool)
-    clip[:] = np.any((coords == lo) | (coords == hi), axis=1)
+    fiber_degree = (2 * dim - (coords == lo).sum(axis=0)
+                    - (coords == hi).sum(axis=0))
+    clip = np.tile(fiber_degree < 2 * dim, (len(base_vertices), 1))
     clip[[base_index[b] for b in base_boundary]] = True
 
-    rows = np.arange(len(base_vertices), dtype=np.int64)[:, None] * n_fiber
-    fiber_links = []
-    for j in range(dim):
-        src = (rows + np.flatnonzero(coords[:, j] < hi)).ravel()
-        fiber_links.append((src, src + (hi - lo + 1) ** (dim - 1 - j)))
-
-    gluing_links = []
-    per_map: dict = {}
+    # gluing edges: a Tabulated edge is a block of its own, and the edges of
+    # a matrix map share blocks, keyed so that no row repeats on either side
+    per_map, layers, n_out, n_in = {}, {}, Counter(), Counter()
     for (b, b2) in base_edges:
         gmap = spec.map_for((b, b2))
+        i, i2 = base_index[b], base_index[b2]
         if isinstance(gmap, Tabulated):
             parts = _tabulated_gluing(gmap, b, (b, b2), lo, hi)
+            key = object()
         else:
             if id(gmap) not in per_map:
                 per_map[id(gmap)] = _linear_gluing(gmap, coords, lo, hi)
             parts = per_map[id(gmap)]
+            key = (id(gmap), n_out[id(gmap), i], n_in[id(gmap), i2])
+            n_out[id(gmap), i] += 1
+            n_in[id(gmap), i2] += 1
         src, dst, lost, unreached = parts
-        i, i2 = base_index[b], base_index[b2]
-        clip[i, lost] = True
-        clip[i2, unreached] = True
-        gluing_links.append((i * n_fiber + src, i2 * n_fiber + dst))
+        clip[i][lost] = True
+        clip[i2][unreached] = True
+        layers.setdefault(key, (src, dst, []))[2].append((i, i2))
+    gluing = []
+    for src, dst, pairs in layers.values():
+        ii, ii2 = np.array(pairs).T
+        gluing += [(rows[ii[r:r + step]], src, rows[ii2[r:r + step]], dst)
+                   for r in range(0, len(ii), step)]
 
-    indptr, indices = _csr(fiber_links + gluing_links, clip.size)
+    fiber_edge_count = sum(a.size * len(src) for a, src, _, _ in fiber)
+    gluing_edge_count = sum(a.size * len(src) for a, src, _, _ in gluing)
+    indptr, indices = _csr(fiber, gluing, fiber_degree, clip.size,
+                           2 * (fiber_edge_count + gluing_edge_count))
     return TotalSpaceBall(
         fiber_dim=dim, origin=origin, base_vertices=tuple(base_vertices),
         fiber_window=(lo, hi), indptr=indptr, indices=indices,
-        clip=clip.ravel(),
-        fiber_edge_count=sum(len(src) for src, _ in fiber_links),
-        gluing_edge_count=sum(len(src) for src, _ in gluing_links))
+        clip=clip.ravel(), fiber_edge_count=fiber_edge_count,
+        gluing_edge_count=gluing_edge_count)
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +503,13 @@ def ball_growth(ball: TotalSpaceBall, rmax: int) -> GrowthSeries:
     counts = [1]
     min_clip = math.inf
     for r in range(1, rmax + 1):
-        starts = ball.indptr[frontier]
+        starts = ball.indptr[frontier].astype(np.intp)
         lengths = ball.indptr[frontier + 1] - starts
         slots = (np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
                  + np.arange(lengths.sum()))
-        nbrs = ball.indices[slots]
-        frontier = np.unique(nbrs[~seen[nbrs]])
+        nbrs = ball.indices[slots].astype(np.intp, copy=False)
+        nbrs = np.sort(nbrs[~seen[nbrs]])  # keep the first of equal ids
+        frontier = nbrs[np.concatenate((nbrs[:1] >= 0, nbrs[1:] != nbrs[:-1]))]
         seen[frontier] = True
         if min_clip == math.inf and ball.clip[frontier].any():
             min_clip = r

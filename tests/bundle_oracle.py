@@ -73,30 +73,7 @@ def oracle_total_space(spec, base_window, fiber_window, origin, cap=None):
     fiber_arr = np.array(fiber_points, dtype=np.int64)
     for (b, b2) in base_edges:
         gmap = spec.map_for((b, b2))
-        if not isinstance(gmap, Tabulated):
-            mat = np.array(gmap.matrix.rows, dtype=np.int64)
-            shift = np.array(gmap.vector, dtype=np.int64)
-            imgs = fiber_arr @ mat.T + shift
-            inside = np.all((imgs >= flo) & (imgs <= fhi), axis=1)
-            for f, row, ok in zip(fiber_points, imgs.tolist(),
-                                  inside.tolist()):
-                if ok:
-                    img = tuple(row)
-                    adjacency[(f, b)].append((img, b2))
-                    adjacency[(img, b2)].append((f, b))
-                    gluing_edges.append(((f, b), (img, b2)))
-                else:
-                    clipped.add((f, b))
-            pre_f = np.linalg.solve(mat.astype(float),
-                                    (fiber_arr - shift).T).T
-            cand = np.rint(pre_f).astype(np.int64)
-            exact = np.all(cand @ mat.T + shift == fiber_arr, axis=1)
-            pre_inside = np.all((cand >= flo) & (cand <= fhi), axis=1)
-            for f, good, pin in zip(fiber_points, exact.tolist(),
-                                    pre_inside.tolist()):
-                if good and not pin:
-                    clipped.add((f, b2))
-            continue
+        # forward images by `apply`, in Python ints, so they cannot wrap
         image: dict = {}
         for f in fiber_points:
             img = gmap.apply(b, f)
@@ -105,20 +82,30 @@ def oracle_total_space(spec, base_window, fiber_window, origin, cap=None):
                     f"gluing over base edge {(b, b2)!r} sends both "
                     f"{image[img]!r} and {f!r} to {img!r}")
             image[img] = f
-        lo = min(img[0] for img in image)
-        hi = max(img[0] for img in image)
-        for f in fiber_points:
-            img = gmap.apply(b, f)
+        for img, f in image.items():
             if img in fiber_set:
                 adjacency[(f, b)].append((img, b2))
                 adjacency[(img, b2)].append((f, b))
                 gluing_edges.append(((f, b), (img, b2)))
             else:
                 clipped.add((f, b))
-        for f in fiber_points:
-            if f in image:
-                continue
-            if f[0] < lo or f[0] > hi:
+        if isinstance(gmap, Tabulated):
+            # a point outside the image's span has no preimage anywhere
+            lo = min(img[0] for img in image)
+            hi = max(img[0] for img in image)
+            clipped.update((f, b2) for f in fiber_points
+                           if f[0] < lo or f[0] > hi)
+            continue
+        # the float back-clip of the library's int64 path
+        mat = np.array(gmap.matrix.rows, dtype=np.int64)
+        shift = np.array(gmap.vector, dtype=np.int64)
+        pre_f = np.linalg.solve(mat.astype(float), (fiber_arr - shift).T).T
+        cand = np.rint(pre_f).astype(np.int64)
+        exact = np.all(cand @ mat.T + shift == fiber_arr, axis=1)
+        pre_inside = np.all((cand >= flo) & (cand <= fhi), axis=1)
+        for f, good, pin in zip(fiber_points, exact.tolist(),
+                                pre_inside.tolist()):
+            if good and not pin:
                 clipped.add((f, b2))
 
     return OracleWindow(fiber_dim=spec.fiber_dim, origin=origin,

@@ -6,8 +6,10 @@ networkx BFS distances, and the dict-of-tuples reference builder in
 `bundle_oracle`.
 """
 
+import dataclasses
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ from coarsebundle import (
     growth_class,
     phi_example_spec,
 )
+from coarsebundle import bundle_lab
 from coarsebundle.bundle_lab import (
     Affine,
     FiniteBase,
@@ -36,6 +39,7 @@ from coarsebundle.bundle_lab import (
     Tabulated,
     TooFewRadii,
     WindowTooLarge,
+    _index_dtype,
 )
 from coarsebundle.errors import SingularGenerator, SingularMatrix
 
@@ -377,6 +381,76 @@ def test_fibonacci_probes_keep_the_float_back_clip():
     spec = GluingSpec(base=pair, fiber_dim=2, edge_map=Linear(_fib_matrix(41)))
     with pytest.raises(np.linalg.LinAlgError):
         build_total_space(spec, None, 3, ((0, 0), "a"))
+
+
+def test_matrix_gluings_past_int64_are_exact():
+    # y = +-4 maps to 4 * 2^62, which wraps to 0 in int64; only y = 0 stays
+    # in the 11 x 11 box, and det M = 1, so every other point is clipped on
+    # both sides: 2 * (110 + 2 face points on y = 0) = 224
+    pair = FiniteBase(vertices=("a", "b"), edges=(("a", "b"),))
+    for big in (2 ** 62, -2 ** 62, 2 ** 63, 2 ** 80):
+        spec = GluingSpec(base=pair, fiber_dim=2,
+                          edge_map=Linear(IntMatrix([[1, big], [0, 1]])))
+        ball = build_total_space(spec, None, 5, ((0, 0), "a"))
+        assert ball.gluing_edge_count == 11
+        assert int(ball.clip.sum()) == 224
+        assert ball.clipped == {(f, b) for f, b in ball.adjacency
+                                if f[1] != 0 or abs(f[0]) == 5}
+    # the reference builder's forward images are Python ints too
+    spec = GluingSpec(base=pair, fiber_dim=2,
+                      edge_map=Linear(IntMatrix([[1, 2 ** 62], [0, 1]])))
+    with np.errstate(invalid="ignore"):  # its float back-clip overflows
+        want = oracle_total_space(spec, None, 5, ((0, 0), "a"))
+    assert len(want.gluing_edges) == 11
+    # past the bound a map with |det M| > 1 clips a superset: every point
+    # at b off the three images (2x, 0) of the window
+    spec = GluingSpec(base=pair, fiber_dim=2,
+                      edge_map=Linear(IntMatrix([[2, 2 ** 62], [0, 1]])))
+    ball = build_total_space(spec, None, 3, ((0, 0), "a"))
+    need = {((u, v), "b") for u in range(-3, 4) for v in range(-3, 4)
+            if v != 0 and u % 2 == 0}
+    assert need < ball.clipped
+    assert {f for f, b in ball.adjacency
+            if b == "b" and (f, b) not in ball.clipped} == {
+        (-2, 0), (0, 0), (2, 0)}
+
+
+def test_window_ids_are_int32_below_two_to_the_31():
+    assert _index_dtype(2 ** 31 - 1) is np.int32
+    assert _index_dtype(2 ** 31) is np.int64
+    ball = build_total_space(line_spec(), 4, 4, ((0,), 0))
+    assert ball.indptr.dtype == ball.indices.dtype == np.int32
+
+
+@pytest.mark.parametrize("case", _window_corpus()[::5])
+def test_int64_windows_read_the_same(case, monkeypatch):
+    spec, base_window, fiber_window, origin, rmax = case
+    ball = build_total_space(spec, base_window, fiber_window, origin)
+    wide = dataclasses.replace(ball, indptr=ball.indptr.astype(np.int64),
+                               indices=ball.indices.astype(np.int64))
+    # a window past 2^31 slots is built the same way in int64
+    monkeypatch.setattr(bundle_lab, "_index_dtype", lambda bound: np.int64)
+    built = build_total_space(spec, base_window, fiber_window, origin)
+    assert built.indices.dtype == np.int64
+    assert np.array_equal(built.indptr, wide.indptr)
+    assert np.array_equal(built.indices, wide.indices)
+    assert (_growth_or_error(ball_growth, ball, rmax)
+            == _growth_or_error(ball_growth, wide, rmax))
+    assert np.array_equal(ball.degrees, wide.degrees)
+    assert ball.adjacency == wide.adjacency
+    assert ball.clipped == wide.clipped
+
+
+def test_wedge_window_builds_in_at_most_50_bytes_per_vertex():
+    spec = phi_example_spec()
+    tracemalloc.start()
+    try:
+        ball = build_total_space(spec, (1005, 1043), 8500, ((0,), 1024))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ball.size == 663039
+    assert peak <= 50 * ball.size
 
 
 def _networkx_growth(ball, rmax):
