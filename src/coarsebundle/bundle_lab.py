@@ -324,10 +324,14 @@ def _linear_gluing(gmap: Affine, coords: np.ndarray, lo: int, hi: int):
 
 def _tabulated_gluing(gmap: Tabulated, b, edge, lo: int, hi: int):
     """The same four offset arrays for a rank-one pointwise map, calling
-    ``gmap.fn`` once per window point; the first two in the id dtype."""
+    ``gmap.fn`` once per window point; the first two in the id dtype.
+    Images past int64 keep all images exact Python ints."""
     xs = np.arange(lo, hi + 1)
-    imgs = np.array([gmap.fn(b, x) for x in range(lo, hi + 1)],
-                    dtype=np.int64)
+    imgs = [gmap.fn(b, x) for x in range(lo, hi + 1)]
+    try:
+        imgs = np.array(imgs, dtype=np.int64)
+    except OverflowError:
+        imgs = np.array(imgs, dtype=object)
     _, first = np.unique(imgs, return_index=True)
     if len(first) < len(imgs):
         repeat = np.ones(len(imgs), dtype=bool)

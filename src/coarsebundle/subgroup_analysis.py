@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core_algebra import IntMatrix, Letter, RatMatrix, word_ball
 from .errors import DimensionTooSmall, NotInLattice, RankUnsupported, ZeroValue
@@ -97,9 +97,7 @@ def hausdorff_class_gl1(values: Sequence) -> Gl1Class:
     rows = [tuple(vec.get(p, 0) for p in primes) for vec in vectors]
 
     base = rows[0]
-    g = 0
-    for x in base:
-        g = math.gcd(g, abs(x))
+    g = math.gcd(*base)
     prim = tuple(x // g for x in base)
 
     multiples: list[int] = []
@@ -111,9 +109,7 @@ def hausdorff_class_gl1(values: Sequence) -> Gl1Class:
         k = next(r // p for r, p in zip(row, prim) if p != 0)
         multiples.append(k)
 
-    d = 0
-    for k in multiples:
-        d = math.gcd(d, abs(k))
+    d = math.gcd(*multiples)
     gen_vec = tuple(d * x for x in prim)
     gen = Fraction(1)
     for p, e in zip(primes, gen_vec):
@@ -158,20 +154,6 @@ def _projective_character(g: RatMatrix) -> Fraction:
     sign; infinite order unless the trace vanishes).
     """
     return g.trace() ** 2 / g.determinant()
-
-
-def _has_finite_order(g: RatMatrix) -> bool:
-    """Whether g^k = 1 for some k >= 1, exactly at every rank n.
-
-    An eigenvalue of a finite-order g is a root of unity whose order m has
-    a minimal polynomial of degree phi(m) <= n, so the order of g divides
-    N = lcm{m : phi(m) <= n}: 12 for n <= 3, 120 for n = 4.  The search for
-    such m stops at 2n^2, since phi(m) >= sqrt(m / 2).
-    """
-    n = g.n
-    order = math.lcm(*(m for m in range(1, 2 * n * n + 1)
-                       if sum(math.gcd(m, k) == 1 for k in range(m)) <= n))
-    return g.pow(order).is_identity()
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +568,9 @@ class FreenessCertificate:
     note: str = ""
 
 
-def _relation_search(gens: Sequence[RatMatrix], depth: int
-                     ) -> Optional[tuple[Letter, ...]]:
-    """Shortest reduced word over the generators evaluating to the identity."""
+def _relation_search(gens: list[RatMatrix]) -> Optional[FreenessCertificate]:
+    """A RelationFound certificate holding the shortest reduced word of
+    length up to six over the generators that evaluates to the identity."""
     k = len(gens)
     identity = RatMatrix.identity(gens[0].n)
     inverses = [g.inverse() for g in gens]
@@ -598,7 +580,7 @@ def _relation_search(gens: Sequence[RatMatrix], depth: int
         return gens[i] if e > 0 else inverses[i]
 
     frontier: list[tuple[RatMatrix, tuple[Letter, ...]]] = [(identity, ())]
-    for _ in range(depth):
+    for _ in range(_RELATION_DEPTH):
         nxt = []
         for m, word in frontier:
             for i in range(k):
@@ -609,14 +591,36 @@ def _relation_search(gens: Sequence[RatMatrix], depth: int
                     p = m @ letter_matrix(letter)
                     w = word + (letter,)
                     if p.is_identity():
-                        return w
+                        return FreenessCertificate(
+                            kind="RelationFound", depth=_RELATION_DEPTH, word=w)
                     nxt.append((p, w))
         nxt.sort(key=lambda item: item[1])
         frontier = nxt
     return None
 
 
-def _axis_pair_certificate(gens: Sequence[RatMatrix]) -> Optional[ConeTable]:
+def _single_generator(gens: list[RatMatrix]) -> Optional[FreenessCertificate]:
+    """One generator g is free exactly when g^k = 1 for no k >= 1, which is
+    decided exactly at every rank n; a finite order stops as Unknown.
+
+    An eigenvalue of a finite-order g is a root of unity whose order m has
+    a minimal polynomial of degree phi(m) <= n, so the order of g divides
+    N = lcm{m : phi(m) <= n}: 12 for n <= 3, 120 for n = 4.  The search for
+    such m stops at 2n^2, since phi(m) >= sqrt(m / 2).
+    """
+    if len(gens) != 1:
+        return None
+    n = gens[0].n
+    order = math.lcm(*(m for m in range(1, 2 * n * n + 1)
+                       if sum(math.gcd(m, k) == 1 for k in range(m)) <= n))
+    if gens[0].pow(order).is_identity():
+        return FreenessCertificate(kind="Unknown", depth=_RELATION_DEPTH)
+    return FreenessCertificate(
+        kind="PingPong", depth=_RELATION_DEPTH,
+        note="infinite cyclic: exact finite-order test excluded torsion")
+
+
+def _axis_pair_certificate(gens: list[RatMatrix]) -> Optional[FreenessCertificate]:
     """Exact quadrant ping-pong for one upper and one lower unitriangular
     generator with off-diagonal entry at least two in absolute value.
 
@@ -642,12 +646,12 @@ def _axis_pair_certificate(gens: Sequence[RatMatrix]) -> Optional[ConeTable]:
     for a, b in ((0, 1), (1, 0)):
         up, low = upper_entry(gens[a]), lower_entry(gens[b])
         if up is not None and low is not None:
-            return ConeTable(
+            return FreenessCertificate("PingPong", _RELATION_DEPTH, cones=ConeTable(
                 variant="axis-quadrants",
                 entries=(("generator", a, "target", "abs(x) > abs(y)", str(up)),
                          ("generator", b, "target", "abs(x) < abs(y)", str(low))),
                 description="exact inequality certificate on coordinate quadrants",
-            )
+            ))
     return None
 
 
@@ -690,7 +694,7 @@ def _pingpong_arcs(g: RatMatrix) -> Optional[list]:
     return out
 
 
-def _schottky_certificate(gens: Sequence[RatMatrix]) -> Optional[ConeTable]:
+def _schottky_certificate(gens: list[RatMatrix]) -> Optional[FreenessCertificate]:
     """Exact ping-pong on closed arcs with rational endpoints.
 
     g maps the complement of R_g into A_g, and g^-1 the complement of A_g
@@ -737,12 +741,13 @@ def _schottky_certificate(gens: Sequence[RatMatrix]) -> Optional[ConeTable]:
                     for later in placed[i + 1:]]
             return min(left, default=0), sum(left)
         chosen.append(max(live, key=room))
-    return ConeTable(variant="schottky", entries=tuple(
-        ConeEntry(attracting=pair[1], repelling=pair[0]) for _, pair in chosen),
-        description="disjoint rational ping-pong arcs")
+    return FreenessCertificate("PingPong", _RELATION_DEPTH, cones=ConeTable(
+        variant="schottky", description="disjoint rational ping-pong arcs",
+        entries=tuple(ConeEntry(attracting=pair[1], repelling=pair[0])
+                      for _, pair in chosen)))
 
 
-def _trace_certificate(gens: Sequence[RatMatrix]) -> Optional[ConeTable]:
+def _trace_certificate(gens: list[RatMatrix]) -> Optional[FreenessCertificate]:
     """tr[a, b] < -2 for two generators of positive determinant.
 
     Scaled to determinant one, a and b then generate a discrete free group
@@ -757,41 +762,36 @@ def _trace_certificate(gens: Sequence[RatMatrix]) -> Optional[ConeTable]:
     kappa = (a @ b @ a.inverse() @ b.inverse()).trace()
     if kappa >= -2:
         return None
-    return ConeTable(variant="trace", description=f"tr[a, b] = {kappa} < -2")
+    return FreenessCertificate("PingPong", _RELATION_DEPTH, cones=ConeTable(
+        "trace", description=f"tr[a, b] = {kappa} < -2"))
+
+
+def _first_decision(rules, case):
+    """The first decision of the ordered rules on ``case``; None declines."""
+    return next((d for rule in rules if (d := rule(case)) is not None), None)
+
+
+_FREENESS_RULES = (_relation_search, _single_generator, _axis_pair_certificate,
+                   _schottky_certificate, _trace_certificate)
 
 
 def free_injectivity(gens: Sequence[RatMatrix]) -> FreenessCertificate:
     """Freeness certificate for the group generated by the given matrices.
 
-    Exact search over reduced words of length up to six first (a hit is a
-    definite relation).  One generator of infinite order needs no ping-pong
-    (cones None); two or more need the quadrant table of a wide unipotent
-    pair, rational Schottky arcs, or, for two generators of positive
-    determinant, a commutator trace below -2, else Unknown.  A PingPong
+    Runs the rules of ``_FREENESS_RULES`` in order; the first to decide
+    wins: an exact search over reduced words of length up to six (a hit is
+    a definite relation); one generator, free without ping-pong (cones
+    None) exactly when its order is infinite; the quadrant table of a wide
+    unipotent pair; rational Schottky arcs; for two generators of positive
+    determinant, a commutator trace below -2.  Else Unknown.  A PingPong
     result implies the word search found nothing, so the two kinds exclude
     each other.
     """
     gens = list(gens)
     if not gens:
         return FreenessCertificate(kind="Unknown", depth=0, note="no generators")
-
-    depth = _RELATION_DEPTH
-    word = _relation_search(gens, depth)
-    if word is not None:
-        return FreenessCertificate(kind="RelationFound", depth=depth, word=word)
-
-    if len(gens) == 1:
-        if not _has_finite_order(gens[0]):
-            return FreenessCertificate(
-                kind="PingPong", depth=depth,
-                note="infinite cyclic: exact finite-order test excluded torsion")
-        return FreenessCertificate(kind="Unknown", depth=depth)
-
-    table = (_axis_pair_certificate(gens) or _schottky_certificate(gens)
-             or _trace_certificate(gens))
-    if table is not None:
-        return FreenessCertificate(kind="PingPong", depth=depth, cones=table)
-    return FreenessCertificate(kind="Unknown", depth=depth)
+    return (_first_decision(_FREENESS_RULES, gens)
+            or FreenessCertificate(kind="Unknown", depth=_RELATION_DEPTH))
 
 
 # ---------------------------------------------------------------------------
@@ -823,66 +823,81 @@ def hausdorff_class(group: Gl2Subgroup,
                     budget: int = COSET_BUDGET) -> HausdorffClass:
     """Full coarse class: determinant leg plus norm-one leg.
 
-    The norm-one leg runs: scalar check, boundedness, elementary types,
-    shared-fixed-direction triangular analysis (an unbounded mixed group
-    fixing one rational direction closes up to the full upper triangular
-    block, which acts cocompactly), then lattice detection by folding in
-    the modular group, then a freeness (Cantor) certificate, and otherwise
-    Unknown.  A modular group is called Cantor only when the fold proves
-    infinite index; a fold that spends ``budget`` vertices gives Unknown.
+    The norm-one leg runs the rules of ``_SL2_RULES`` in order; the first
+    to decide wins: scalar check, elementary types, shared-fixed-direction
+    triangular analysis (an unbounded mixed group fixing one rational
+    direction closes up to the full upper triangular block, which acts
+    cocompactly), lattice detection by folding in the modular group, a
+    freeness (Cantor) certificate, else Unknown.  A modular group is called
+    Cantor only when the fold proves infinite index; a fold that spends
+    ``budget`` vertices gives Unknown.
     """
-    dets = [abs(g.determinant()) for g in group.generators]
-    det_part = hausdorff_class_gl1(dets if dets else [1])
+    det_part = hausdorff_class_gl1([g.determinant() for g in group.generators])
 
     nonscalar = [g for g in group.generators if not _is_scalar(g)]
-    sl2: Sl2Part
-    if not nonscalar:
-        sl2 = Sl2Part(kind="Trivial")
-    else:
-        et = elementary_type(group)
-        if et.kind == "Finite":
-            sl2 = Sl2Part(kind="EllipticBounded")
-        elif et.kind == "ParabolicElementary":
-            sl2 = Sl2Part(kind="ParabolicElementary")
-        elif et.kind == "HyperbolicElementary":
-            sl2 = Sl2Part(kind="HyperbolicElementary",
-                          translation_length=et.translation_length)
-        else:
-            sl2 = _classify_nonelementary(nonscalar, et.pilot, budget)
+    case = _Sl2Case(nonscalar, elementary_type(group) if nonscalar else None,
+                    budget)
+    sl2 = _first_decision(_SL2_RULES, case) or Sl2Part(kind="Unknown")
 
-    hom_graph = None
-    if det_part.kind != "Trivial":
-        hom_graph = tuple(
-            (str(abs(g.determinant())), "scalar" if _is_scalar(g) else "nonscalar")
-            for g in group.generators if abs(g.determinant()) != 1)
+    hom_graph = None if det_part.kind == "Trivial" else tuple(
+        (str(abs(g.determinant())), "scalar" if _is_scalar(g) else "nonscalar")
+        for g in group.generators if abs(g.determinant()) != 1)
     return HausdorffClass(sl2_part=sl2, det_part=det_part, hom_graph=hom_graph)
 
 
-def _classify_nonelementary(gens: list[RatMatrix], pilot: Optional[RatMatrix],
-                            budget: int) -> Sl2Part:
+class _Sl2Case(NamedTuple):
+    gens: list[RatMatrix]  # the non-scalar generators
+    elementary: Optional[ElementaryType]  # None when gens is empty
+    budget: int
+
+
+def _all_scalar(case: _Sl2Case) -> Optional[Sl2Part]:
+    return None if case.gens else Sl2Part(kind="Trivial")
+
+
+def _elementary_kind(case: _Sl2Case) -> Optional[Sl2Part]:
+    kind = {"Finite": "EllipticBounded",
+            "ParabolicElementary": "ParabolicElementary",
+            "HyperbolicElementary": "HyperbolicElementary"
+            }.get(case.elementary.kind)
+    return None if kind is None else Sl2Part(
+        kind=kind, translation_length=case.elementary.translation_length)
+
+
+def _shared_direction(case: _Sl2Case) -> Optional[Sl2Part]:
     # A direction fixed by every generator is fixed by the pilot, a product
     # of at most two of them (or its square), so only the pilot's directions
     # can be shared; an unbounded group without a pilot is irreducible (see
     # elementary_type).  A shared direction makes the group triangular with
     # a multiplier off +-1 (else it is elementary), so it closes up to the
     # full triangular block.
-    if pilot is not None and any(all(_fixes_direction(g, v) for g in gens)
+    pilot = case.elementary.pilot
+    if pilot is not None and any(all(_fixes_direction(g, v) for g in case.gens)
                                  for v in _fixed_directions(pilot)):
         return Sl2Part(kind="FullGroup")
+    return None
 
-    primitive = [g * Fraction(g.den, math.gcd(*g.nums)) for g in gens]
-    if all(m.determinant() == 1 for m in primitive):
-        res = classify_psl2z_subgroup(Gl2Subgroup(primitive), budget=budget)
-        if res.finite:
-            return Sl2Part(kind="Lattice", index=res.index)
-        if res.witness is None:
-            return Sl2Part(kind="Unknown")
 
-    cert = free_injectivity(gens)
-    if cert.kind == "PingPong" and cert.cones is not None:
-        return Sl2Part(kind="NonElementaryCantor",
-                       certificate_hash=cert.cones.canonical_hash())
-    return Sl2Part(kind="Unknown")
+def _modular_fold(case: _Sl2Case) -> Optional[Sl2Part]:
+    """A finite index is a Lattice; a spent budget is a stopping Unknown,
+    which never falls through to the Cantor certificate."""
+    primitive = [g * Fraction(g.den, math.gcd(*g.nums)) for g in case.gens]
+    if any(m.determinant() != 1 for m in primitive):
+        return None
+    res = classify_psl2z_subgroup(Gl2Subgroup(primitive), budget=case.budget)
+    if res.finite:
+        return Sl2Part(kind="Lattice", index=res.index)
+    return Sl2Part(kind="Unknown") if res.witness is None else None
+
+
+def _pingpong_certificate(case: _Sl2Case) -> Optional[Sl2Part]:
+    cones = free_injectivity(case.gens).cones  # set only on PingPong
+    return None if cones is None else Sl2Part(
+        kind="NonElementaryCantor", certificate_hash=cones.canonical_hash())
+
+
+_SL2_RULES = (_all_scalar, _elementary_kind, _shared_direction, _modular_fold,
+              _pingpong_certificate)
 
 
 @dataclass(frozen=True)
@@ -914,8 +929,7 @@ def hausdorff_equivalent(g1: Gl2Subgroup, g2: Gl2Subgroup,
         return EquivalenceVerdict(kind="NotEquivalent", reason="det_part kind")
     if (c1.det_part.kind == "Discrete"
             and c1.det_part.exponent_vector != c2.det_part.exponent_vector):
-        return EquivalenceVerdict(kind="NotEquivalent",
-                                  reason="det_part generator lattice")
+        return EquivalenceVerdict("NotEquivalent", "det_part generator lattice")
 
     k1, k2 = c1.sl2_part.kind, c2.sl2_part.kind
     if "Unknown" in (k1, k2):
@@ -925,24 +939,18 @@ def hausdorff_equivalent(g1: Gl2Subgroup, g2: Gl2Subgroup,
 
     if k1 in ("Trivial", "EllipticBounded", "ParabolicElementary",
               "HyperbolicElementary", "FullGroup"):
-        return EquivalenceVerdict(kind="Equivalent",
-                                  reason=f"matching {k1} classes")
+        return EquivalenceVerdict("Equivalent", f"matching {k1} classes")
     if k1 == "Lattice":
         if c1.hom_graph != c2.hom_graph:
-            return EquivalenceVerdict(kind="Unknown",
-                                      reason="scalar coupling differs")
-        return EquivalenceVerdict(
-            kind="Equivalent",
-            reason="both of finite index in the modular group, hence commensurable")
+            return EquivalenceVerdict("Unknown", "scalar coupling differs")
+        return EquivalenceVerdict("Equivalent", "both of finite index in the "
+                                  "modular group, hence commensurable")
 
-    if conjugator is not None:
-        if _conjugates_into(g1, g2, conjugator):
-            return EquivalenceVerdict(kind="Equivalent",
-                                      reason="user conjugator verified",
-                                      witness=conjugator)
+    if conjugator is not None and _conjugates_into(g1, g2, conjugator):
+        return EquivalenceVerdict("Equivalent", "user conjugator verified",
+                                  witness=conjugator)
     return EquivalenceVerdict(
-        kind="Unknown",
-        reason="Cantor-type classes need a conjugator to compare")
+        "Unknown", "Cantor-type classes need a conjugator to compare")
 
 
 def _conjugates_into(g1: Gl2Subgroup, g2: Gl2Subgroup,

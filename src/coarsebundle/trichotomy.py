@@ -12,8 +12,9 @@ one-sided.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bass_serre import (CoverageReport, _state_coverage, projected_ball_sizes,
                          resolve_vertex_cap)
@@ -22,8 +23,8 @@ from .errors import BallTooLarge, RankUnsupported
 from .graph_of_groups import (AscendingHnnForm, GraphOfGroups,
                               detect_ascending_hnn, modular_holonomy)
 from .subgroup_analysis import (FreenessCertificate, Gl1Class, Gl2Subgroup,
-                                free_injectivity, hausdorff_class_gl1,
-                                hausdorff_equivalent)
+                                _first_decision, free_injectivity,
+                                hausdorff_class_gl1, hausdorff_equivalent)
 
 DEFAULT_DEPTH = 6
 INTERIOR_MARGIN = 2
@@ -91,12 +92,98 @@ def _holonomy_generators(g: GraphOfGroups) -> list[RatMatrix]:
     return list(modular_holonomy(g).generator_matrices())
 
 
+class _Case(NamedTuple):
+    g: GraphOfGroups
+    gens: list[RatMatrix]  # the holonomy generators
+    depth: int
+    radius_r: Optional[float]
+    cap: Optional[int]
+
+
+def _finite_holonomy(c: _Case):
+    if all(m.is_identity() for m in c.gens):
+        note = "trivial holonomy image"
+    elif c.g.rank <= 2 and _finite_image(c.gens):
+        note = "finite holonomy image"
+    else:
+        return None
+    return KIND_FOLDED, TrichotomyEvidence("finite-image", note=note)
+
+
+def _ascending_hnn(c: _Case):
+    form = detect_ascending_hnn(c.g)
+    if form is None or not form.strict:
+        return None
+    return KIND_PARABOLIC, TrichotomyEvidence("ascending-hnn", note=(
+        "strict ascending HNN form with non-unimodular end")), form
+
+
+def _free_discrete(c: _Case):
+    if not c.gens or len(set(c.gens)) < len(c.gens) or not all(
+            m.is_integral() and abs(m.determinant()) == 1
+            and not m.is_identity() for m in c.gens):
+        return None
+    cert = free_injectivity(c.gens)
+    if cert.kind != "PingPong":
+        return None
+    return KIND_PROPER, TrichotomyEvidence(
+        "free-discrete", freeness=cert,
+        note="integral unimodular generators, free by ping-pong")
+
+
+def _ball_coverage(c: _Case):
+    base = min(c.g.vertices)
+    cap = resolve_vertex_cap(c.cap)
+    sizes = projected_ball_sizes(c.g, base, c.depth)
+    depth = c.depth
+    while depth > 1 and sizes[depth] > cap:
+        depth -= 1
+    if sizes[depth] > cap:
+        raise BallTooLarge(cap)
+    if depth <= INTERIOR_MARGIN:
+        return KIND_UNDETERMINED, TrichotomyEvidence(
+            "ball-coverage", depth, note=(
+                f"coverage evidence needs depth >= {INTERIOR_MARGIN + 1}"
+                if c.depth <= INTERIOR_MARGIN else "vertex cap forces a ball "
+                "too shallow for coverage evidence; raise the cap"))
+    identity = RatMatrix.identity(c.g.rank)
+    r = c.radius_r
+    if r is None:
+        r = max(gl_distance(m, identity) for m in c.gens)
+    if r <= 0:
+        r = 1.0
+
+    rows: list[EdgeCoverage] = []
+    for edge_id, sides in _state_coverage(c.g, base, depth, r,
+                                          interior_margin=INTERIOR_MARGIN):
+        if sides is None:
+            return KIND_UNDETERMINED, TrichotomyEvidence(
+                "ball-coverage", depth, r,
+                note=f"edge {edge_id} has no representative in the ball")
+        rows.append(EdgeCoverage(edge_id, *sides))
+    counts = {row.covered_sides for row in rows}
+    kind, note = (
+        (KIND_FOLDED, "") if counts == {2} else
+        (KIND_UNDETERMINED, "one-sided coverage everywhere; no strict "
+         "ascending form to confirm a parabolic verdict") if counts == {1} else
+        (KIND_PROPER, "") if 0 in counts and 2 not in counts else
+        (KIND_UNDETERMINED, "conflicting coverage evidence"))
+    return kind, TrichotomyEvidence("ball-coverage", depth, r, tuple(rows),
+                                    note=note)
+
+
+# classify's rules (a)-(d), in order; each returns None to decline, or
+# (kind, evidence) and for Parabolic also the ascending HNN form
+_CLASSIFY_RULES = (_finite_holonomy, _ascending_hnn, _free_discrete,
+                   _ball_coverage)
+
+
 def classify(g: GraphOfGroups, depth: int = DEFAULT_DEPTH,
              radius_r: Optional[float] = None,
              cap: Optional[int] = None) -> TrichotomyVerdict:
     """Classify the coarse fiber structure of a homogeneous graph of groups.
 
-    Pipeline, first decisive rule wins:
+    Runs the rules of ``_CLASSIFY_RULES`` in order; the first to decide wins:
 
     (a) finite holonomy image (trivial image at any rank; decided exactly by
         closure search at rank <= 2) gives Folded: every halfspace carries
@@ -117,97 +204,15 @@ def classify(g: GraphOfGroups, depth: int = DEFAULT_DEPTH,
         Proper evidence; anything conflicting is Undetermined.
 
     Coverage in rule (d) is tested on the interior of the ball (margin
-    INTERIOR_MARGIN) so that truncation artifacts at the ball boundary do
-    not masquerade as missing labels.
+    INTERIOR_MARGIN), so that truncation artifacts at the ball boundary do
+    not masquerade as missing labels; it needs depth >= INTERIOR_MARGIN + 1.
+    A negative depth raises ValueError.
     """
-    gens = _holonomy_generators(g)
-    n = g.rank
-
-    if all(m.is_identity() for m in gens):
-        return TrichotomyVerdict(
-            kind=KIND_FOLDED, rank=n,
-            evidence=TrichotomyEvidence(rule="finite-image",
-                                        note="trivial holonomy image"))
-    if n <= 2 and _finite_image(gens):
-        return TrichotomyVerdict(
-            kind=KIND_FOLDED, rank=n,
-            evidence=TrichotomyEvidence(rule="finite-image",
-                                        note="finite holonomy image"))
-
-    form = detect_ascending_hnn(g)
-    if form is not None and form.strict:
-        return TrichotomyVerdict(
-            kind=KIND_PARABOLIC, rank=n, hnn=form,
-            evidence=TrichotomyEvidence(
-                rule="ascending-hnn",
-                note="strict ascending HNN form with non-unimodular end"))
-
-    if gens and all(m.is_integral() and abs(m.determinant()) == 1
-                    for m in gens):
-        distinct = len(set(gens)) == len(gens)
-        nontrivial = not any(m.is_identity() for m in gens)
-        if distinct and nontrivial:
-            cert = free_injectivity(gens)
-            if cert.kind == "PingPong":
-                return TrichotomyVerdict(
-                    kind=KIND_PROPER, rank=n,
-                    evidence=TrichotomyEvidence(
-                        rule="free-discrete", freeness=cert,
-                        note="integral unimodular generators, free by ping-pong"))
-
-    base = min(g.vertices)
-    cap_value = resolve_vertex_cap(cap)
-    sizes = projected_ball_sizes(g, base, depth)
-    depth_used = depth
-    while depth_used > 1 and sizes[depth_used] > cap_value:
-        depth_used -= 1
-    if sizes[depth_used] > cap_value:
-        raise BallTooLarge(cap_value)
-    if depth_used < INTERIOR_MARGIN + 1:
-        return TrichotomyVerdict(
-            kind=KIND_UNDETERMINED, rank=n,
-            evidence=TrichotomyEvidence(
-                rule="ball-coverage", depth=depth_used,
-                note="vertex cap forces a ball too shallow for coverage "
-                     "evidence; raise the cap or lower the depth"))
-    identity = RatMatrix.identity(n)
-    r_used = radius_r
-    if r_used is None:
-        r_used = max(gl_distance(m, identity) for m in gens)
-    if r_used <= 0:
-        r_used = 1.0
-
-    rows: list[EdgeCoverage] = []
-    for edge_id, sides in _state_coverage(g, base, depth_used, r_used,
-                                          interior_margin=INTERIOR_MARGIN):
-        if sides is None:
-            return TrichotomyVerdict(
-                kind=KIND_UNDETERMINED, rank=n,
-                evidence=TrichotomyEvidence(
-                    rule="ball-coverage", depth=depth_used, radius_r=r_used,
-                    note=f"edge {edge_id} has no representative in the ball"))
-        rows.append(EdgeCoverage(edge_id, *sides))
-
-    counts = {row.covered_sides for row in rows}
-    evidence = TrichotomyEvidence(rule="ball-coverage", depth=depth_used,
-                                  radius_r=r_used, coverage=tuple(rows))
-    if counts == {2}:
-        return TrichotomyVerdict(kind=KIND_FOLDED, rank=n, evidence=evidence)
-    if counts == {1}:
-        return TrichotomyVerdict(
-            kind=KIND_UNDETERMINED, rank=n,
-            evidence=TrichotomyEvidence(
-                rule="ball-coverage", depth=depth_used, radius_r=r_used,
-                coverage=tuple(rows),
-                note="one-sided coverage everywhere; no strict ascending "
-                     "form to confirm a parabolic verdict"))
-    if 0 in counts and 2 not in counts:
-        return TrichotomyVerdict(kind=KIND_PROPER, rank=n, evidence=evidence)
-    return TrichotomyVerdict(
-        kind=KIND_UNDETERMINED, rank=n,
-        evidence=TrichotomyEvidence(
-            rule="ball-coverage", depth=depth_used, radius_r=r_used,
-            coverage=tuple(rows), note="conflicting coverage evidence"))
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    case = _Case(g, _holonomy_generators(g), depth, radius_r, cap)
+    kind, evidence, *form = _first_decision(_CLASSIFY_RULES, case)
+    return TrichotomyVerdict(kind, g.rank, evidence, *form)
 
 
 SAME_QI = "SameQiClass"
@@ -243,31 +248,24 @@ def qi_compare(g1: GraphOfGroups, g2: GraphOfGroups,
     """
     v1 = classify(g1, depth=depth, radius_r=radius_r)
     v2 = classify(g2, depth=depth, radius_r=radius_r)
+    out = partial(QiComparison, left=v1, right=v2)
 
     if v1.kind == KIND_PARABOLIC and v2.kind == KIND_PARABOLIC:
         endos = None
         if v1.hnn is not None and v2.hnn is not None:
             endos = (v1.hnn.endomorphism, v2.hnn.endomorphism)
-        return QiComparison(
-            verdict=UNDETERMINED_QI,
-            reason="both parabolic: ascending extensions are compared by "
-                   "their endomorphisms, which is out of scope",
-            left=v1, right=v2, endomorphisms=endos)
+        return out(UNDETERMINED_QI, "both parabolic: ascending extensions are "
+                   "compared by their endomorphisms, which is out of scope",
+                   endomorphisms=endos)
     if KIND_UNDETERMINED in (v1.kind, v2.kind):
-        return QiComparison(verdict=UNDETERMINED_QI,
-                            reason="trichotomy undecided on at least one side",
-                            left=v1, right=v2)
+        return out(UNDETERMINED_QI, "trichotomy undecided on at least one side")
     if v1.kind != v2.kind:
-        return QiComparison(verdict=DIFFERENT_QI,
-                            reason=f"{v1.kind} vs {v2.kind}",
-                            invariant="trichotomy kind", left=v1, right=v2)
+        return out(DIFFERENT_QI, f"{v1.kind} vs {v2.kind}",
+                   invariant="trichotomy kind")
 
     if g1.rank != g2.rank:
-        return QiComparison(
-            verdict=UNDETERMINED_QI,
-            reason="matching kind but different fiber rank; the holonomy "
-                   "class comparison needs equal rank",
-            left=v1, right=v2)
+        return out(UNDETERMINED_QI, "matching kind but different fiber rank; "
+                   "the holonomy class comparison needs equal rank")
     n = g1.rank
     if n > 2:
         raise RankUnsupported(
@@ -279,29 +277,18 @@ def qi_compare(g1: GraphOfGroups, g2: GraphOfGroups,
         c1 = hausdorff_class_gl1([m[0, 0] for m in gens1])
         c2 = hausdorff_class_gl1([m[0, 0] for m in gens2])
         if _gl1_classes_equal(c1, c2):
-            return QiComparison(
-                verdict=SAME_QI,
-                reason=f"both {v1.kind} with holonomy class "
-                       f"{c1.kind}({c1.generator})",
-                left=v1, right=v2)
-        return QiComparison(
-            verdict=DIFFERENT_QI,
-            reason=f"holonomy classes {c1.kind}({c1.generator}) vs "
-                   f"{c2.kind}({c2.generator})",
-            invariant="holonomy line class", left=v1, right=v2)
+            return out(SAME_QI, f"both {v1.kind} with holonomy class "
+                       f"{c1.kind}({c1.generator})")
+        return out(DIFFERENT_QI, f"holonomy classes {c1.kind}({c1.generator})"
+                   f" vs {c2.kind}({c2.generator})",
+                   invariant="holonomy line class")
 
     ev = hausdorff_equivalent(Gl2Subgroup(gens1), Gl2Subgroup(gens2))
     if ev.kind == "Equivalent":
-        return QiComparison(
-            verdict=SAME_QI,
-            reason=f"both {v1.kind}; holonomy images at finite Hausdorff "
-                   f"distance ({ev.reason})",
-            left=v1, right=v2)
+        return out(SAME_QI, f"both {v1.kind}; holonomy images at finite "
+                   f"Hausdorff distance ({ev.reason})")
     if ev.kind == "NotEquivalent":
-        return QiComparison(
-            verdict=DIFFERENT_QI,
-            reason=f"holonomy Hausdorff classes differ ({ev.reason})",
-            invariant="holonomy Hausdorff class", left=v1, right=v2)
-    return QiComparison(verdict=UNDETERMINED_QI,
-                        reason=f"holonomy comparison undecided ({ev.reason})",
-                        left=v1, right=v2)
+        return out(DIFFERENT_QI,
+                   f"holonomy Hausdorff classes differ ({ev.reason})",
+                   invariant="holonomy Hausdorff class")
+    return out(UNDETERMINED_QI, f"holonomy comparison undecided ({ev.reason})")

@@ -415,6 +415,37 @@ def test_matrix_gluings_past_int64_are_exact():
         (-2, 0), (0, 0), (2, 0)}
 
 
+@pytest.mark.parametrize("fn", [
+    lambda b, x: x + 2 ** 63,
+    lambda b, x: x - 2 ** 63 - 1,
+    lambda b, x: x + 2 ** 80 if x > 0 else x,
+], ids=["above", "below", "half-above"])
+def test_tabulated_images_past_int64_clip_exactly(fn):
+    # each point whose image leaves the window is clipped, as in the
+    # reference builder
+    spec = GluingSpec(base="line", fiber_dim=1, edge_map=Tabulated(fn=fn))
+    ball = build_total_space(spec, 2, 2, ((0,), 0))
+    want = oracle_total_space(spec, 2, 2, ((0,), 0))
+    assert ball.clipped == want.clipped
+    assert ball.gluing_edge_count == len(want.gluing_edges)
+    got_adj = ball.adjacency
+    for v, nbrs in want.adjacency.items():
+        assert Counter(got_adj[v]) == Counter(nbrs)
+
+
+def test_tabulated_injectivity_stays_exact_past_int64():
+    # 2^64 + x are distinct images, though one float64 for small x
+    spec = GluingSpec(base="line", fiber_dim=1,
+                      edge_map=Tabulated(fn=lambda b, x: 2 ** 64 + x))
+    assert build_total_space(spec, 2, 2, ((0,), 0)).gluing_edge_count == 0
+    spec = GluingSpec(base="line", fiber_dim=1, edge_map=Tabulated(
+        fn=lambda b, x: 2 ** 64 if x in (1, 2) else x))
+    with pytest.raises(NonBijectiveTabulated) as got:
+        build_total_space(spec, 2, 2, ((0,), 0))
+    assert str(got.value) == ("gluing over base edge (-2, -1) sends both "
+                              "(1,) and (2,) to (18446744073709551616,)")
+
+
 def test_window_ids_are_int32_below_two_to_the_31():
     assert _index_dtype(2 ** 31 - 1) is np.int32
     assert _index_dtype(2 ** 31) is np.int64

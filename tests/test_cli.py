@@ -55,6 +55,15 @@ def test_classify_folded_case(capsys, gog_file):
     assert out == "Folded\n"
 
 
+def test_classify_rejects_a_negative_depth(capsys, gog_file):
+    path = gog_file("bs23.json", bs(2, 3))
+    for depth in ("-1", "-3"):
+        code, out, err = run(capsys, ["classify", path, "--depth", depth])
+        assert code == 1
+        assert out == ""
+        assert err == "error: depth must be nonnegative\n"
+
+
 def test_qi_compare_distinguishes_holonomy(capsys, gog_file):
     a = gog_file("bs23.json", bs(2, 3))
     b = gog_file("bs49.json", bs(4, 9))

@@ -128,6 +128,31 @@ def test_cap_below_one_sphere_raises():
         classify(bs(2, 3), cap=3)
 
 
+@pytest.mark.parametrize("depth", [-1, -3])
+def test_a_negative_depth_is_rejected(depth):
+    # an input error even where a certificate rule decides without a ball
+    for call in (lambda: classify(bs(2, 3), depth=depth),
+                 lambda: classify(bs(2, 2), depth=depth),
+                 lambda: qi_compare(bs(2, 3), bs(4, 9), depth=depth)):
+        with pytest.raises(ValueError, match="depth must be nonnegative"):
+            call()
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_a_shallow_requested_depth_is_named_not_the_cap(depth):
+    v = classify(bs(2, 3), depth=depth)
+    assert v.kind == "Undetermined" and v.evidence.depth == depth
+    assert v.evidence.note == "coverage evidence needs depth >= 3"
+
+
+def test_only_a_depth_the_cap_lowered_cites_the_cap():
+    sizes = projected_ball_sizes(bs(2, 3), "v", 6)
+    v = classify(bs(2, 3), cap=sizes[2])
+    assert v.kind == "Undetermined" and v.evidence.depth == 2
+    assert v.evidence.note == ("vertex cap forces a ball too shallow for "
+                               "coverage evidence; raise the cap")
+
+
 def test_verdict_exclusivity_fields():
     cases = [bs(1, 2), bs(2, 2), bs(2, 3),
              semidirect(2, [IntMatrix([[1, 1], [0, 1]])])]
