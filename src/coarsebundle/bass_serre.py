@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core_algebra import RatMatrix, gl_distance
+from .core_algebra import RatMatrix, gl_distance_table
 from .errors import BallTooLarge, EdgeNotInBall, EmptyHalfspace
 from .graph_of_groups import GraphOfGroups
 
@@ -158,17 +158,13 @@ class CoverageReport:
     """How well one halfspace's labels blanket the whole ball's labels.
 
     ``covered_fraction`` is exact (a Fraction); ``worst_gap`` is the largest
-    distance from any scored vertex label to the halfspace label set.  When
-    ``interior_margin`` is positive only vertices of depth at most
-    ``depth - interior_margin`` are scored, which removes the artifact of deep
-    shell labels whose matches lie just outside the ball.
+    distance from any scored vertex label to the halfspace label set.  The
+    radius R, the ball depth and the interior margin it was scored at are
+    the caller's to state.
     """
 
-    radius_R: float
     covered_fraction: Fraction
     worst_gap: float
-    depth: int
-    interior_margin: int = 0
 
     @property
     def covered(self) -> bool:
@@ -367,54 +363,6 @@ def halfspace(ball: TreeBall, e: int, side: str) -> Halfspace:
     return Halfspace(ball=ball, edge=e, side=side, mask=mask, members=members)
 
 
-def _labels_to_float(labels) -> np.ndarray:
-    return np.stack([m.to_float() for m in labels])
-
-
-def _distance_table(labels_a, labels_b) -> np.ndarray:
-    """Pairwise gl_distance, shape (len(labels_a), len(labels_b)).
-
-    For ranks one and two the singular values of A^{-1}B have closed forms,
-    so the whole table is a few vectorized array ops; higher ranks fall back
-    to the scalar routine.
-    """
-    ka, kb = len(labels_a), len(labels_b)
-    if ka == 0 or kb == 0:
-        return np.zeros((ka, kb))
-    n = labels_a[0].n
-    if n == 1:
-        la = np.array([np.log(abs(m.to_float()[0, 0])) for m in labels_a])
-        lb = np.array([np.log(abs(m.to_float()[0, 0])) for m in labels_b])
-        return np.abs(la[:, None] - lb[None, :])
-    if n == 2:
-        # exact inverses and determinants: long products of integer labels
-        # can be singular in float64
-        inv_a = _labels_to_float([m.inverse() for m in labels_a])
-        fb = _labels_to_float(labels_b)
-        det_a = np.array([float(m.determinant()) for m in labels_a])
-        det_b = np.array([float(m.determinant()) for m in labels_b])
-        out = np.empty((ka, kb))
-        # chunk rows so the (rows, kb, 2, 2) product block stays small
-        chunk = max(1, int(2_000_000 // max(kb, 1)))
-        for lo in range(0, ka, chunk):
-            hi = min(ka, lo + chunk)
-            prod = np.einsum("aij,bjk->abik", inv_a[lo:hi], fb)
-            fro2 = np.einsum("abik,abik->ab", prod, prod)
-            det2 = (det_b[None, :] / det_a[lo:hi, None]) ** 2
-            disc = np.sqrt(np.maximum(fro2 * fro2 - 4.0 * det2, 0.0))
-            s1 = np.maximum((fro2 + disc) / 2.0, 1e-300)
-            s2 = np.maximum(det2 / s1, 1e-300)
-            l1 = 0.5 * np.log(s1)
-            l2 = 0.5 * np.log(s2)
-            out[lo:hi] = np.sqrt(l1 * l1 + l2 * l2)
-        return out
-    out = np.empty((ka, kb))
-    for i, a in enumerate(labels_a):
-        for j, b in enumerate(labels_b):
-            out[i, j] = gl_distance(a, b)
-    return out
-
-
 def carries_holonomy(ball: TreeBall, h: Halfspace, R: float,
                      interior_margin: int = 0) -> CoverageReport:
     """Score how much of the ball's label set the halfspace covers at radius R.
@@ -426,29 +374,22 @@ def carries_holonomy(ball: TreeBall, h: Halfspace, R: float,
     """
     if h.member_count == 0:
         raise EmptyHalfspace()
-    margin = max(0, int(interior_margin))
-    depth_limit = max(0, ball.radius - margin)
-
+    depth_limit = max(0, ball.radius - max(0, int(interior_margin)))
     targets = Counter(ball.label_ids[ball.depth <= depth_limit].tolist())
     return _score(ball.labels, np.unique(ball.label_ids[h.members]),
-                  targets, R, ball.radius, margin)
+                  targets, R)
 
 
-def _score(labels, present, targets: Counter, R: float, depth: int,
-           margin: int) -> CoverageReport:
+def _score(labels, present, targets: Counter, R: float) -> CoverageReport:
     """Coverage of the target label counts (label id -> vertices) by the
     label ids ``present`` in a halfspace, at radius R."""
     hs_labels = [labels[int(j)] for j in sorted(present)]
-    dist = _distance_table(labels, hs_labels).min(axis=1)
+    dist = gl_distance_table(labels, hs_labels).min(axis=1)
     covered = sum(c for lid, c in targets.items()
                   if dist[lid] <= R + DISTANCE_TOL)
     return CoverageReport(
-        radius_R=float(R),
         covered_fraction=Fraction(covered, sum(targets.values())),
-        worst_gap=float(max(dist[lid] for lid in targets)),
-        depth=depth,
-        interior_margin=margin,
-    )
+        worst_gap=float(max(dist[lid] for lid in targets)))
 
 
 def _state_coverage(g: GraphOfGroups, base: str, radius: int, R: float,
@@ -487,8 +428,8 @@ def _state_coverage(g: GraphOfGroups, base: str, radius: int, R: float,
 
     spheres = grow(root, radius)
     whole = label_counts(spheres)
-    margin = max(0, int(interior_margin))
-    targets = label_counts(spheres[:max(0, radius - margin) + 1])
+    targets = label_counts(
+        spheres[:max(0, radius - max(0, int(interior_margin))) + 1])
 
     rows = []
     for pos in sorted(range(len(g.edges)), key=lambda p: g.edges[p].id):
@@ -500,9 +441,9 @@ def _state_coverage(g: GraphOfGroups, base: str, radius: int, R: float,
             continue
         d, state = rep
         sub = label_counts(grow(state, radius - d))
-        inside = _score(labels, sub, targets, R, radius, margin)
+        inside = _score(labels, sub, targets, R)
         outside = _score(labels, (lid for lid, c in whole.items()
-                                  if c > sub[lid]), targets, R, radius, margin)
+                                  if c > sub[lid]), targets, R)
         # a tree edge crossed iota to tau has its subtree on the tau side
         pair = (outside, inside) if state[2] else (inside, outside)
         rows.append((g.edges[pos].id, pair))

@@ -72,7 +72,10 @@ def Linear(matrix: IntMatrix) -> Affine:
 class Tabulated:
     """Pointwise map of the rank-one fiber, possibly depending on the base
     vertex; a window build calls ``fn`` once per window point and base edge
-    and checks injectivity on the window."""
+    and checks injectivity on the window.  It clips every window point that
+    no window point maps onto, or, when the map is strictly monotone on the
+    window (and so taken to be monotone on all of Z), only those outside the
+    span of the images."""
 
     fn: Callable[[object, int], int]
     name: str = "tabulated"
@@ -343,10 +346,14 @@ def _tabulated_gluing(gmap: Tabulated, b, edge, lo: int, hi: int):
             f"{(lo + k,)!r} to {(int(imgs[k]),)!r}")
     inside = (imgs >= lo) & (imgs <= hi)
     offset = _index_dtype(len(imgs))
-    # a point outside the image's span has no preimage anywhere
-    return (np.flatnonzero(inside).astype(offset),
-            (imgs[inside] - lo).astype(offset), np.flatnonzero(~inside),
-            np.flatnonzero((xs < imgs.min()) | (xs > imgs.max())))
+    dst = (imgs[inside] - lo).astype(offset)
+    steps = np.diff(imgs)
+    if np.all(steps > 0) or np.all(steps < 0):  # see Tabulated
+        unreached = (xs < imgs.min()) | (xs > imgs.max())
+    else:
+        unreached = np.bincount(dst, minlength=len(imgs)) == 0
+    return (np.flatnonzero(inside).astype(offset), dst,
+            np.flatnonzero(~inside), np.flatnonzero(unreached))
 
 
 def _index_dtype(bound: int) -> type:

@@ -33,7 +33,7 @@ from .core_algebra import IntMatrix, RatMatrix
 from .errors import CoarseBundleError, PositiveCycle, TooFewRadii
 from .linf_cohomology import (BaseComplex, Cochain1, Cochain2, d1,
                               grid_complex, heisenberg_cochain)
-from .subgroup_analysis import (Gl2Subgroup, free_injectivity,
+from .subgroup_analysis import (COSET_BUDGET, Gl2Subgroup, free_injectivity,
                                 hausdorff_class, hausdorff_equivalent,
                                 orbit_reduce)
 
@@ -55,9 +55,7 @@ def _json_key(k) -> str:
 
 
 def _jsonable(obj) -> Any:
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Fraction):
         return str(obj)
@@ -117,9 +115,7 @@ def _fraction(x) -> Fraction:
     if isinstance(x, bool) or isinstance(x, float):
         raise ValueError(f"exact rational expected, got {x!r}; "
                          "use an integer or a 'p/q' string")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise ValueError(f"cannot read {x!r} as a rational")
 
@@ -252,15 +248,14 @@ def _load_gluing_spec(doc: dict) -> GluingSpec:
 
 def cmd_classify(args, argv: list[str]) -> int:
     g = graph_of_groups.from_json_dict(_load_json(args.gog_file))
-    verdict = trichotomy.classify(g, depth=args.depth, radius_r=args.radius)
+    verdict = trichotomy.classify(g, depth=args.depth)
     if verdict.hnn is not None:
         rows = [list(r) for r in verdict.hnn.endomorphism.rows]
         text = f"{verdict.kind}, endomorphism {rows}"
     else:
         text = verdict.kind
     code = EXIT_DECIDED if verdict.decided else EXIT_UNDETERMINED
-    return _emit(args, argv,
-                 {"depth": args.depth, "radius": args.radius},
+    return _emit(args, argv, {"depth": args.depth},
                  {"kind": verdict.kind, "rank": verdict.rank,
                   "endomorphism": (verdict.hnn.endomorphism
                                    if verdict.hnn else None)},
@@ -270,14 +265,12 @@ def cmd_classify(args, argv: list[str]) -> int:
 def cmd_qi_compare(args, argv: list[str]) -> int:
     g1 = graph_of_groups.from_json_dict(_load_json(args.gog_file_1))
     g2 = graph_of_groups.from_json_dict(_load_json(args.gog_file_2))
-    cmp_ = trichotomy.qi_compare(g1, g2, depth=args.depth,
-                                 radius_r=args.radius)
+    cmp_ = trichotomy.qi_compare(g1, g2, depth=args.depth)
     text = f"{cmp_.verdict}: {cmp_.reason}"
     code = (EXIT_DECIDED if cmp_.verdict in ("SameQiClass",
                                              "DifferentQiClass")
             else EXIT_UNDETERMINED)
-    return _emit(args, argv,
-                 {"depth": args.depth, "radius": args.radius},
+    return _emit(args, argv, {"depth": args.depth},
                  {"verdict": cmp_.verdict, "reason": cmp_.reason,
                   "invariant": cmp_.invariant,
                   "endomorphisms": cmp_.endomorphisms},
@@ -477,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
                                         "of groups JSON document")
     p.add_argument("gog_file")
     p.add_argument("--depth", type=int, default=trichotomy.DEFAULT_DEPTH)
-    p.add_argument("--radius", type=float, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 
@@ -485,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gog_file_1")
     p.add_argument("gog_file_2")
     p.add_argument("--depth", type=int, default=trichotomy.DEFAULT_DEPTH)
-    p.add_argument("--radius", type=float, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_qi_compare)
 
@@ -523,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+",
                    help="JSON file(s) with a 'matrices' array, or the "
                         "vector entries for reduce")
-    p.add_argument("--budget", type=int, default=20000)
+    p.add_argument("--budget", type=int, default=COSET_BUDGET)
     p.add_argument("--conjugator", default=None,
                    help="JSON 2x2 matrix with rational entries")
     p.add_argument("--json", action="store_true")

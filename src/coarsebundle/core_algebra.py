@@ -298,29 +298,60 @@ def word_ball(gens: Sequence[RatMatrix], depth: Optional[int] = None
 
 # -- float-only helpers ------------------------------------------------------
 
-def log_singular_values(a: np.ndarray) -> np.ndarray:
-    """Logs of singular values, with a closed form for n <= 2."""
-    n = a.shape[0]
+def _floats(labels: Sequence[RatMatrix]) -> np.ndarray:
+    # each entry rounded once from its exact value, as in to_float
+    return np.array([[x / m.den for x in m.nums] for m in labels]).reshape(
+        len(labels), labels[0].n, -1)
+
+
+def gl_distance_table(labels_a: Sequence[RatMatrix],
+                      labels_b: Sequence[RatMatrix]) -> np.ndarray:
+    """``gl_distance`` for every pair of two nonempty label lists, shape
+    (len(labels_a), len(labels_b)).
+
+    Rank one is the log ratio.  Rank two reads the singular values of
+    M = A^-1 B off sigma_1 = (|(p + s, q - r)| + |(p - s, q + r)|) / 2 and
+    sigma_1 sigma_2 = |det M|, which has no cancellation near orthogonal M;
+    inverses and determinants are exact, since long products of integer
+    labels can be singular in float64.  Higher ranks take a batched SVD.
+    Rows are chunked so that each block of products stays small.
+    """
+    ka, kb = len(labels_a), len(labels_b)
+    n = labels_a[0].n
     if n == 1:
-        return np.array([math.log(abs(a[0, 0]))])
+        la, lb = (np.log(np.abs(_floats(labels)[:, 0, 0]))
+                  for labels in (labels_a, labels_b))
+        return np.abs(la[:, None] - lb[None, :])
+    inv_a = _floats([m.inverse() for m in labels_a])
+    fb = _floats(labels_b)
     if n == 2:
-        # sigma^2 are roots of x^2 - |A|_F^2 x + det^2
-        fro2 = float(np.sum(a * a))
-        det = float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-        disc = max(fro2 * fro2 - 4.0 * det * det, 0.0)
-        root = math.sqrt(disc)
-        s1 = math.sqrt(max((fro2 + root) / 2.0, 0.0))
-        s2 = abs(det) / s1 if s1 > 0 else 0.0
-        return np.array([math.log(s1), math.log(s2)])
-    return np.log(np.linalg.svd(a, compute_uv=False))
+        log_det_a, log_det_b = (
+            np.log(np.abs([float(m.determinant()) for m in labels]))
+            for labels in (labels_a, labels_b))
+        log_det = log_det_b[None, :] - log_det_a[:, None]
+    out = np.empty((ka, kb))
+    chunk = max(1, 8_000_000 // (kb * n * n))
+    for lo in range(0, ka, chunk):
+        prod = np.einsum("aij,bjk->abik", inv_a[lo:lo + chunk], fb)
+        # floored: float products of huge labels can cancel to zero
+        if n == 2:
+            p, q = prod[..., 0, 0], prod[..., 0, 1]
+            r, s = prod[..., 1, 0], prod[..., 1, 1]
+            l1 = np.log(np.maximum(
+                (np.hypot(p + s, q - r) + np.hypot(p - s, q + r)) / 2, 1e-150))
+            logs = np.stack([l1, log_det[lo:lo + chunk] - l1], axis=-1)
+        else:
+            logs = np.log(np.maximum(
+                np.linalg.svd(prod, compute_uv=False), 1e-150))
+        out[lo:lo + chunk] = np.sqrt(np.sum(logs * logs, axis=-1))
+    return out
 
 
 def gl_distance(a: RatMatrix, b: RatMatrix) -> float:
     """Symmetric-space proxy metric on GL_n(R).
 
     d(A, B) = sqrt(sum_i log^2 sigma_i(A^-1 B)).  Zero exactly when A^-1 B is
-    orthogonal; symmetric and left-invariant.
+    orthogonal; symmetric and left-invariant.  The one-pair case of
+    ``gl_distance_table``.
     """
-    rel = (a.inverse() @ b).to_float()
-    logs = log_singular_values(rel)
-    return float(math.sqrt(float(np.sum(logs * logs))))
+    return float(gl_distance_table([a], [b])[0, 0])

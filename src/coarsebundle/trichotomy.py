@@ -40,7 +40,7 @@ KIND_UNDETERMINED = "Undetermined"
 class EdgeCoverage:
     """Coverage reports for the two halfspaces of one edge representative."""
 
-    edge_id: int
+    edge_id: str
     iota_side: CoverageReport
     tau_side: CoverageReport
 
@@ -88,15 +88,10 @@ def _finite_image(gens: list[RatMatrix]) -> bool:
     return sum(1 for _ in ball) <= _FINITE_CLOSURE_CAP
 
 
-def _holonomy_generators(g: GraphOfGroups) -> list[RatMatrix]:
-    return list(modular_holonomy(g).generator_matrices())
-
-
 class _Case(NamedTuple):
     g: GraphOfGroups
     gens: list[RatMatrix]  # the holonomy generators
     depth: int
-    radius_r: Optional[float]
     cap: Optional[int]
 
 
@@ -147,11 +142,7 @@ def _ball_coverage(c: _Case):
                 if c.depth <= INTERIOR_MARGIN else "vertex cap forces a ball "
                 "too shallow for coverage evidence; raise the cap"))
     identity = RatMatrix.identity(c.g.rank)
-    r = c.radius_r
-    if r is None:
-        r = max(gl_distance(m, identity) for m in c.gens)
-    if r <= 0:
-        r = 1.0
+    r = max(gl_distance(h, identity) for h in c.gens) or 1.0
 
     rows: list[EdgeCoverage] = []
     for edge_id, sides in _state_coverage(c.g, base, depth, r,
@@ -178,8 +169,18 @@ _CLASSIFY_RULES = (_finite_holonomy, _ascending_hnn, _free_discrete,
                    _ball_coverage)
 
 
+def _case(g: GraphOfGroups, depth: int, cap: Optional[int] = None) -> _Case:
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    return _Case(g, modular_holonomy(g).generator_matrices(), depth, cap)
+
+
+def _verdict(case: _Case) -> TrichotomyVerdict:
+    kind, evidence, *form = _first_decision(_CLASSIFY_RULES, case)
+    return TrichotomyVerdict(kind, case.g.rank, evidence, *form)
+
+
 def classify(g: GraphOfGroups, depth: int = DEFAULT_DEPTH,
-             radius_r: Optional[float] = None,
              cap: Optional[int] = None) -> TrichotomyVerdict:
     """Classify the coarse fiber structure of a homogeneous graph of groups.
 
@@ -203,16 +204,13 @@ def classify(g: GraphOfGroups, depth: int = DEFAULT_DEPTH,
         representative covered on neither side, with no two-sided sample, is
         Proper evidence; anything conflicting is Undetermined.
 
-    Coverage in rule (d) is tested on the interior of the ball (margin
-    INTERIOR_MARGIN), so that truncation artifacts at the ball boundary do
-    not masquerade as missing labels; it needs depth >= INTERIOR_MARGIN + 1.
-    A negative depth raises ValueError.
+    Rule (d) covers a label within R, the largest gl_distance of a holonomy
+    generator from the identity (or 1.0 when that is 0), and scores only the
+    interior of the ball (margin INTERIOR_MARGIN), so that truncation at the
+    boundary does not masquerade as missing labels; it needs depth >=
+    INTERIOR_MARGIN + 1.  A negative depth raises ValueError.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    case = _Case(g, _holonomy_generators(g), depth, radius_r, cap)
-    kind, evidence, *form = _first_decision(_CLASSIFY_RULES, case)
-    return TrichotomyVerdict(kind, g.rank, evidence, *form)
+    return _verdict(_case(g, depth, cap))
 
 
 SAME_QI = "SameQiClass"
@@ -235,8 +233,7 @@ def _gl1_classes_equal(a: Gl1Class, b: Gl1Class) -> bool:
 
 
 def qi_compare(g1: GraphOfGroups, g2: GraphOfGroups,
-               depth: int = DEFAULT_DEPTH,
-               radius_r: Optional[float] = None) -> QiComparison:
+               depth: int = DEFAULT_DEPTH) -> QiComparison:
     """Compare two graphs of groups by trichotomy kind and holonomy class.
 
     Differing kinds or differing holonomy Hausdorff classes separate the
@@ -246,8 +243,8 @@ def qi_compare(g1: GraphOfGroups, g2: GraphOfGroups,
     of ascending extensions is out of scope here.  The holonomy-class leg
     requires equal rank at most two; higher rank raises RankUnsupported.
     """
-    v1 = classify(g1, depth=depth, radius_r=radius_r)
-    v2 = classify(g2, depth=depth, radius_r=radius_r)
+    c1, c2 = _case(g1, depth), _case(g2, depth)
+    v1, v2 = _verdict(c1), _verdict(c2)
     out = partial(QiComparison, left=v1, right=v2)
 
     if v1.kind == KIND_PARABOLIC and v2.kind == KIND_PARABOLIC:
@@ -271,19 +268,17 @@ def qi_compare(g1: GraphOfGroups, g2: GraphOfGroups,
         raise RankUnsupported(
             "holonomy class comparison is implemented for rank at most two")
 
-    gens1 = _holonomy_generators(g1)
-    gens2 = _holonomy_generators(g2)
     if n == 1:
-        c1 = hausdorff_class_gl1([m[0, 0] for m in gens1])
-        c2 = hausdorff_class_gl1([m[0, 0] for m in gens2])
-        if _gl1_classes_equal(c1, c2):
+        h1 = hausdorff_class_gl1([m[0, 0] for m in c1.gens])
+        h2 = hausdorff_class_gl1([m[0, 0] for m in c2.gens])
+        if _gl1_classes_equal(h1, h2):
             return out(SAME_QI, f"both {v1.kind} with holonomy class "
-                       f"{c1.kind}({c1.generator})")
-        return out(DIFFERENT_QI, f"holonomy classes {c1.kind}({c1.generator})"
-                   f" vs {c2.kind}({c2.generator})",
+                       f"{h1.kind}({h1.generator})")
+        return out(DIFFERENT_QI, f"holonomy classes {h1.kind}({h1.generator})"
+                   f" vs {h2.kind}({h2.generator})",
                    invariant="holonomy line class")
 
-    ev = hausdorff_equivalent(Gl2Subgroup(gens1), Gl2Subgroup(gens2))
+    ev = hausdorff_equivalent(Gl2Subgroup(c1.gens), Gl2Subgroup(c2.gens))
     if ev.kind == "Equivalent":
         return out(SAME_QI, f"both {v1.kind}; holonomy images at finite "
                    f"Hausdorff distance ({ev.reason})")

@@ -90,11 +90,17 @@ def oracle_total_space(spec, base_window, fiber_window, origin, cap=None):
             else:
                 clipped.add((f, b))
         if isinstance(gmap, Tabulated):
-            # a point outside the image's span has no preimage anywhere
-            lo = min(img[0] for img in image)
-            hi = max(img[0] for img in image)
-            clipped.update((f, b2) for f in fiber_points
-                           if f[0] < lo or f[0] > hi)
+            # a map monotone on the window is taken to be monotone on Z, so
+            # only a point outside its images' span can have its preimage
+            # outside the window; otherwise any point not mapped onto can
+            values = [img[0] for img in image]
+            steps = [v - u for u, v in zip(values, values[1:])]
+            if all(d > 0 for d in steps) or all(d < 0 for d in steps):
+                clipped.update((f, b2) for f in fiber_points
+                               if not min(values) <= f[0] <= max(values))
+            else:
+                clipped.update((f, b2) for f in fiber_points
+                               if f not in image)
             continue
         # the float back-clip of the library's int64 path
         mat = np.array(gmap.matrix.rows, dtype=np.int64)

@@ -433,6 +433,17 @@ def test_tabulated_images_past_int64_clip_exactly(fn):
         assert Counter(got_adj[v]) == Counter(nbrs)
 
 
+def test_a_non_monotone_tabulated_map_clips_points_not_mapped_onto():
+    # over base edge (0, 1) the window point 1 goes to 5, outside the
+    # window, and 5 comes back to 1, so ((1,), 1) lacks its backward partner
+    # ((5,), 0) although 1 lies inside the span of the window's images
+    spec = GluingSpec(base="line", fiber_dim=1, edge_map=Tabulated(
+        fn=lambda b, x: {1: 5, 5: 1}.get(x, x) if b == 0 else x))
+    ball = build_total_space(spec, 3, 3, ((0,), 0))
+    assert ((1,), 1) in ball.clipped
+    assert ball.clipped == oracle_total_space(spec, 3, 3, ((0,), 0)).clipped
+
+
 def test_tabulated_injectivity_stays_exact_past_int64():
     # 2^64 + x are distinct images, though one float64 for small x
     spec = GluingSpec(base="line", fiber_dim=1,

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from coarsebundle import bs, graph_of_groups
-from coarsebundle.cli import main
+from coarsebundle.cli import build_parser, main
+from coarsebundle.subgroup_analysis import COSET_BUDGET
 
 
 @pytest.fixture()
@@ -87,6 +88,17 @@ def test_qi_compare_undetermined_exits_two(capsys, gog_file):
     code, out, _ = run(capsys, ["qi-compare", a, b])
     assert code == 2
     assert out.startswith("Undetermined")
+
+
+@pytest.mark.parametrize("command", ["classify", "qi-compare"])
+def test_the_radius_is_not_an_option(capsys, gog_file, command):
+    # rule (d) reads its radius off the holonomy generators
+    path = gog_file("bs23.json", bs(2, 3))
+    files = [path] if command == "classify" else [path, path]
+    code, out, err = run(capsys, [command, *files, "--radius", "1"])
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --radius 1" in err
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +297,11 @@ def test_subgroup_class_reports_a_spent_budget_as_unknown(capsys,
                                 "--budget", "2"])
     assert code == 2
     assert out == "Unknown, det Trivial\n"
+
+
+def test_subgroup_budget_defaults_to_the_library_budget():
+    args = build_parser().parse_args(["subgroup", "class", "g.json"])
+    assert args.budget == COSET_BUDGET
 
 
 def test_subgroup_equiv_commensurable_lattices(capsys, sanov_file,

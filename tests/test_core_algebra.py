@@ -2,9 +2,9 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 import sympy
 from hypothesis import given, strategies as st
@@ -13,7 +13,7 @@ from coarsebundle.core_algebra import (
     IntMatrix,
     RatMatrix,
     gl_distance,
-    log_singular_values,
+    gl_distance_table,
     word_ball,
 )
 from coarsebundle.errors import SingularMatrix
@@ -232,8 +232,28 @@ def test_gl_distance_rank_one_is_log_ratio():
     assert abs(gl_distance(a, b) - math.log(1.5)) < 1e-12
 
 
-def test_log_singular_values_sum_to_log_determinant():
-    m = np.array([[2.0, 1.0], [1.0, 1.0]])
-    logs = log_singular_values(m)
-    assert logs.shape == (2,)
-    assert abs(float(logs.sum()) - math.log(abs(np.linalg.det(m)))) < 1e-9
+def _sympy_gl_distance(a, b) -> float:
+    """sqrt(sum_i log^2 sigma_i(A^-1 B)), with sigma_i^2 the exact real
+    roots of the characteristic polynomial of M^T M, M = A^-1 B."""
+    m = to_sympy(a).inv() * to_sympy(b)
+    squares = sympy.real_roots((m.T * m).charpoly())
+    return float(sympy.sqrt(sum(sympy.log(x) ** 2 for x in squares)).evalf(
+        30) / 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gl_distance_table_matches_sympy(n):
+    rng = random.Random(n)
+    labels = []
+    while len(labels) < 6:
+        m = RatMatrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                        for _ in range(n)] for _ in range(n)])
+        if m.determinant() != 0:
+            labels.append(m)
+    table = gl_distance_table(labels, labels)
+    assert table.shape == (6, 6)
+    for i, a in enumerate(labels):
+        assert table[i, i] < 1e-12
+        for j, b in enumerate(labels):
+            assert abs(table[i, j] - gl_distance(a, b)) < 1e-9
+            assert abs(table[i, j] - _sympy_gl_distance(a, b)) < 1e-9

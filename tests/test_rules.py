@@ -17,8 +17,8 @@ from coarsebundle.subgroup_analysis import (
     _shared_direction, _single_generator, _Sl2Case, _trace_certificate,
     elementary_type)
 from coarsebundle.trichotomy import (_CLASSIFY_RULES, _ascending_hnn,
-                                     _ball_coverage, _Case, _finite_holonomy,
-                                     _free_discrete, _holonomy_generators)
+                                     _ball_coverage, _case, _finite_holonomy,
+                                     _free_discrete)
 
 S = RatMatrix([[0, -1], [1, 0]])
 T = RatMatrix([[1, 1], [0, 1]])
@@ -41,7 +41,7 @@ C8 = IntMatrix([[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
 
 
 def case(g, depth=6):
-    return _Case(g, _holonomy_generators(g), depth, None, None)
+    return _case(g, depth)
 
 
 def sl2(gens, budget=COSET_BUDGET):
