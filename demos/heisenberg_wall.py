@@ -56,7 +56,7 @@ def main():
         df = coboundary_of_potential(cx, f, 1)
         worst = max(abs(a.value(e)[0] + df.value(e)[0]) for e in cx.edges)
         print(f"C = {c}: primitive found, sup |a + df| = {worst} "
-              f"(budget 4C = {4 * c})")
+              f"(budget 2C = {2 * c})")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
 """Coarse classes of multiplicative and matrix subgroups of the rationals.
 
 Rank one first: the subgroup of positive rationals generated by a list of
-values is trivial, discrete with a computable least generator, or dense,
-and two discrete subgroups agree as coarse subsets of the line only when
-their generators match.  Then rank two: coset enumeration pins the index of
-a finite-index modular subgroup, ping-pong certifies free generation, and
-the continued-fraction style orbit reduction contracts integer vectors to
-their gcd and irrational ones toward zero at a controlled rate.
+values is trivial, discrete with a computable least generator, or dense.
+The generator tells discrete subgroups apart, but as coarse subsets of the
+line (in log scale) every nontrivial subgroup is a net, at finite Hausdorff
+distance from every other one.  Then rank two: coset enumeration pins the
+index of a finite-index modular subgroup, ping-pong certifies free
+generation, and the continued-fraction style orbit reduction contracts
+integer vectors to their gcd and irrational ones toward zero at a
+controlled rate.
 """
 
 import math
@@ -33,8 +35,8 @@ def main():
     print("multiplicative subgroups of Q_{>0}:")
     for values in (["3/2"], ["9/4"], ["8/27"], ["2", "3"], ["1"]):
         show_gl1(values)
-    print("  (8/27 lies on the same line as 3/2, three steps at a time;")
-    print("   9/4 shares the line too but is a strictly coarser subset)")
+    print("  (8/27 and 9/4 generate subgroups of index 3 and 2 in <3/2>;")
+    print("   all three are nets in the line, at finite Hausdorff distance)")
     print()
 
     sanov = Gl2Subgroup((RatMatrix([[1, 2], [0, 1]]),

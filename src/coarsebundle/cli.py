@@ -292,20 +292,16 @@ def cmd_cocycle(args, argv: list[str]) -> int:
     doc = _load_json(args.input_file)
     if args.action == "check":
         complex_, _, c = _cocycle_inputs(doc)
-        verdict = linf_cohomology.is_trivial(complex_, c,
-                                             length_cap=args.length_cap)
+        verdict = linf_cohomology.is_trivial(complex_, c)
         text = verdict.kind if not verdict.note else (
             f"{verdict.kind}: {verdict.note}")
-        code = (EXIT_DECIDED if verdict.kind in ("Trivial", "Nontrivial")
-                else EXIT_UNDETERMINED)
-        return _emit(args, argv,
-                     {"length_cap": args.length_cap},
+        return _emit(args, argv, {},
                      {"kind": verdict.kind, "note": verdict.note,
                       "bound_achieved": verdict.bound_achieved,
                       "bound_budget": verdict.bound_budget},
                      {"scan": verdict.scan, "witnesses": verdict.witnesses,
                       "primitive_f": verdict.primitive_f},
-                     text, code)
+                     text, EXIT_DECIDED)
     if args.action == "primitive":
         complex_ = _load_complex(doc["complex"])
         if "gluing" not in doc:
@@ -314,9 +310,7 @@ def cmd_cocycle(args, argv: list[str]) -> int:
         if args.bound is not None:
             bound = Fraction(args.bound)
         else:
-            table = linf_cohomology.linear_bound_scan(
-                complex_, a, length_cap=args.length_cap)
-            bound = table.max_ratio
+            bound = linf_cohomology.linear_bound_scan(complex_, a).max_ratio
         try:
             f = linf_cohomology.primitive(complex_, a, bound)
         except PositiveCycle as ex:
@@ -342,16 +336,15 @@ def cmd_cocycle(args, argv: list[str]) -> int:
                                       for j in range(c1.dim)]
                                      for i in range(c1.dim)]))
     verdict = linf_cohomology.classes_equivalent_via(
-        complex_, c1, c2, transform, length_cap=args.length_cap)
-    outcome = {"Trivial": "Equivalent", "Nontrivial": "NotEquivalent",
-               "Unknown": "Undetermined"}[verdict.kind]
+        complex_, c1, c2, transform)
+    outcome = {"Trivial": "Equivalent",
+               "Nontrivial": "NotEquivalent"}[verdict.kind]
     text = f"{outcome} (difference class is {verdict.kind})"
-    code = EXIT_DECIDED if outcome != "Undetermined" else EXIT_UNDETERMINED
-    return _emit(args, argv, {"length_cap": args.length_cap},
+    return _emit(args, argv, {},
                  {"kind": outcome, "difference": verdict.kind,
                   "bound_achieved": verdict.bound_achieved},
                  {"scan": verdict.scan, "witnesses": verdict.witnesses},
-                 text, code)
+                 text, EXIT_DECIDED)
 
 
 def cmd_bundle(args, argv: list[str]) -> int:
@@ -488,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="linear bound for primitive, read as an exact "
                         "'p/q' or decimal; default is the scanned ratio "
                         "bound")
-    p.add_argument("--length-cap", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cocycle)
 

@@ -37,7 +37,6 @@ OrientedEdge = tuple[Hashable, Hashable]
 
 _GROWTH_FACTOR = Fraction(3, 2)
 _GROWTH_RUN = 3
-_PRIMITIVE_RETRIES = 6
 _INT64_LIMIT = 1 << 60
 _ZERO = Fraction(0)
 
@@ -277,8 +276,7 @@ def _grid_rectangle_loop(x1: int, y1: int, x2: int, y2: int) -> tuple:
     return tuple(loop)
 
 
-def _scan_grid(complex_: BaseComplex, a: Cochain1,
-               length_cap: Optional[int]) -> ScanTable:
+def _scan_grid(complex_: BaseComplex, a: Cochain1) -> ScanTable:
     """All axis-aligned rectangle loops, via prefix sums of the coboundary.
 
     The loop sum of a around a rectangle equals the sum of da over the
@@ -309,12 +307,9 @@ def _scan_grid(complex_: BaseComplex, a: Cochain1,
                 strip = pref[x2] - pref[x1]
                 sx = x2 - x1
                 for sy in range(1, ch + 1):
-                    length = 2 * (sx + sy)
-                    if length_cap is not None and length > length_cap:
-                        break
                     diffs = np.abs(strip[sy:] - strip[:-sy])
                     y1 = int(np.argmax(diffs))
-                    _keep_max(best, length, diffs[y1],
+                    _keep_max(best, 2 * (sx + sy), diffs[y1],
                               (x1, y1, x2, y1 + sy))
     # cell sums compare like the values they scale to; convert once
     return _scan_table(
@@ -362,8 +357,7 @@ def _fundamental_cycles(complex_: BaseComplex) -> list[tuple]:
     return cycles
 
 
-def linear_bound_scan(complex_: BaseComplex, a: Cochain1,
-                      length_cap: Optional[int] = None) -> ScanTable:
+def linear_bound_scan(complex_: BaseComplex, a: Cochain1) -> ScanTable:
     """Maximal loop sums of a 1-cochain per loop length.
 
     Grid complexes get the complete rectangle family in closed form.  Other
@@ -371,7 +365,7 @@ def linear_bound_scan(complex_: BaseComplex, a: Cochain1,
     tree, and a fixed sample (random.Random(0)) of their concatenations.
     """
     if complex_.grid_shape is not None:
-        return _scan_grid(complex_, a, length_cap)
+        return _scan_grid(complex_, a)
 
     loops: list[tuple] = [tuple(loop) for loop in complex_.faces]
     cycles = _fundamental_cycles(complex_)
@@ -383,10 +377,8 @@ def linear_bound_scan(complex_: BaseComplex, a: Cochain1,
 
     best: dict = {}
     for loop in loops:
-        ell = len(loop)
-        if length_cap is None or ell <= length_cap:
-            _keep_max(best, ell, max(abs(_loop_value(a, loop, k))
-                                     for k in range(a.dim)), loop)
+        _keep_max(best, len(loop), max(abs(_loop_value(a, loop, k))
+                                       for k in range(a.dim)), loop)
     return _scan_table(best)
 
 
@@ -475,7 +467,7 @@ def _extract_cycle(pred: dict, start, nv: int) -> tuple:
 
 @dataclass(frozen=True)
 class TrivialityVerdict:
-    kind: str  # Trivial | Nontrivial | Unknown
+    kind: str  # Trivial | Nontrivial
     primitive_f: Optional[dict] = None
     bound_achieved: Optional[object] = None
     bound_budget: Optional[object] = None
@@ -591,21 +583,21 @@ def _doubling_trend(table: ScanTable) -> tuple[int, list[int]]:
     return best_run, best_lengths
 
 
-def is_trivial(complex_: BaseComplex, c: Cochain2,
-               length_cap: Optional[int] = None) -> TrivialityVerdict:
+def is_trivial(complex_: BaseComplex, c: Cochain2) -> TrivialityVerdict:
     """Bounded-triviality verdict for a face cochain.
 
     Solves da = c exactly (NotCoboundary if impossible) and scans loop
     ratios.  Ratios growing across at least three doubling scales are
     evidence against any linear bound: Nontrivial, with the maximizing
     loops as witnesses.  Otherwise a potential is synthesized with C set
-    to the observed ratio bound, doubling C when the potential fails or
-    misses its budget; success is a Trivial certificate carrying f and the
-    achieved edge bound against a budget of 4C, and exhausted retries
-    leave Unknown.
+    to the observed ratio bound, doubling C while a positive cycle blocks
+    it.  On a finite complex this ends: primitive succeeds once 2C reaches
+    the largest cycle mean of a, which is at most max |a|.  The result is
+    a Trivial certificate carrying f and the achieved edge bound against
+    the budget 2C that primitive guarantees.
     """
     a = solve_coboundary(complex_, c)
-    table = linear_bound_scan(complex_, a, length_cap=length_cap)
+    table = linear_bound_scan(complex_, a)
 
     run, lengths = _doubling_trend(table)
     if run >= _GROWTH_RUN:
@@ -616,30 +608,21 @@ def is_trivial(complex_: BaseComplex, c: Cochain2,
             note=f"loop ratios grow across {run} doubling scales")
 
     bound_c = table.max_ratio
-    for _ in range(_PRIMITIVE_RETRIES):
+    while True:
         try:
             f = primitive(complex_, a, bound_c)
         except PositiveCycle:
-            pass
+            # a zero constant restarts at one
+            bound_c = 2 * bound_c if bound_c else bound_c + 1
         else:
-            worst = residual_sup(complex_, a, f)
-            budget = 4 * bound_c
-            if worst <= budget:
-                return TrivialityVerdict(kind="Trivial", primitive_f=f,
-                                         bound_achieved=worst,
-                                         bound_budget=budget, scan=table)
-        # a zero constant restarts at one
-        bound_c = 2 * bound_c if bound_c else bound_c + 1
-    return TrivialityVerdict(
-        kind="Unknown", scan=table,
-        note="no growth certificate and no bounded primitive at the "
-             "scanned constants")
+            return TrivialityVerdict(
+                kind="Trivial", primitive_f=f,
+                bound_achieved=residual_sup(complex_, a, f),
+                bound_budget=2 * bound_c, scan=table)
 
 
 def classes_equivalent_via(complex_: BaseComplex, c1: Cochain2, c2: Cochain2,
-                           transform: RatMatrix,
-                           length_cap: Optional[int] = None
-                           ) -> TrivialityVerdict:
+                           transform: RatMatrix) -> TrivialityVerdict:
     """Triviality of c1 - T(c2): whether the classes agree up to the given
     invertible change of fiber coordinates, formed exactly."""
     if c1.dim != c2.dim:
@@ -654,7 +637,7 @@ def classes_equivalent_via(complex_: BaseComplex, c1: Cochain2, c2: Cochain2,
     for i in range(len(complex_.faces)):
         diff.values[i] = tuple(x - y for x, y in zip(
             c1.value(i), transform.apply(c2.value(i))))
-    return is_trivial(complex_, diff, length_cap=length_cap)
+    return is_trivial(complex_, diff)
 
 
 def heisenberg_cochain(complex_: BaseComplex) -> Cochain1:

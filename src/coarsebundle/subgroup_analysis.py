@@ -2,15 +2,16 @@
 
 Three toolkits live here.  First, multiplicative subgroups of the nonzero
 rationals are classified exactly (trivial, discrete with a canonical
-generator, or dense) through integer linear algebra on prime exponent
-vectors.  Second, subgroups of GL2(Q) are sorted into the coarse classes
-that matter for holonomy comparison: bounded, parabolic or hyperbolic
-elementary, lattice (finite index in the modular group, decided by a
-Stallings fold that also proves infinite index), free Schottky-type with a
-ping-pong certificate on closed arcs of the projective line with rational
-endpoints or a commutator trace below -2, or honest Unknown.  Third, a
-greedy integer-matrix orbit reduction moves a vector by elementary
-unimodular moves to its gcd on the first axis.
+generator, or dense) through integer linear algebra on exponent vectors
+over a coprime base, with no factoring into primes.  Second, subgroups of
+GL2(Q) are sorted into the coarse classes that matter for holonomy
+comparison: bounded, parabolic or hyperbolic elementary, lattice (finite
+index in the modular group, decided by a Stallings fold that also proves
+infinite index), free Schottky-type with a ping-pong certificate on closed
+arcs of the projective line with rational endpoints or a commutator trace
+below -2, or honest Unknown.  Third, a greedy integer-matrix orbit
+reduction moves a vector by elementary unimodular moves to its gcd on the
+first axis.
 
 Rational inputs are decided exactly, ping-pong certificates included, and
 the orbit reduction reads a float as the exact binary rational it is;
@@ -39,86 +40,89 @@ _HALF = Fraction(1, 2)
 # rank-one classes: subgroups of the nonzero rationals
 
 
-def _prime_exponents(q: Fraction) -> dict[int, int]:
-    """Exponent vector of a positive rational over its support primes."""
-    out: dict[int, int] = {}
+def _coprime_base(numbers: Sequence[int]) -> list[int]:
+    """Pairwise coprime integers > 1 whose products give every number given,
+    by factor refinement: a pending x sharing g > 1 with a base element b
+    is replaced, with b, by g, x/g and b/g.  The product of all pending and
+    base numbers falls by g each time, so the refinement ends."""
+    base: list[int] = []
+    pending = [n for n in numbers if n > 1]
+    while pending:
+        x = pending.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                del base[i]
+                pending.extend(n for n in (g, x // g, b // g) if n > 1)
+                break
+        else:
+            base.append(x)
+    return base
 
-    def account(n: int, sign: int) -> None:
-        p = 2
-        while p * p <= n:
-            while n % p == 0:
-                out[p] = out.get(p, 0) + sign
-                n //= p
-            p += 1 if p == 2 else 2
-        if n > 1:
-            out[n] = out.get(n, 0) + sign
 
-    account(q.numerator, 1)
-    account(q.denominator, -1)
-    return {p: e for p, e in out.items() if e != 0}
+def _valuation(n: int, b: int) -> int:
+    e = 0
+    while n % b == 0:
+        n //= b
+        e += 1
+    return e
 
 
 @dataclass(frozen=True)
 class Gl1Class:
-    """Hausdorff class of a subgroup of the positive rationals.
+    """Subgroup of the positive rationals: its kind and, when discrete, the
+    canonical generator > 1.
 
-    ``exponent_vector`` lists (prime, exponent) pairs of the canonical
-    generator in the discrete case, chosen so the generator is > 1.  Two
-    discrete classes agree only when the generated subgroups are equal,
-    so generator and squared generator land in different classes.
+    The class names the subgroup itself, so <g> and <g^2> get different
+    generators.  As coarse subsets of the line (in log scale) every
+    nontrivial subgroup is a net, at finite Hausdorff distance from every
+    other one: only trivial against nontrivial separates them coarsely.
     """
 
     kind: str  # Trivial | Discrete | Dense
     generator: Optional[Fraction] = None
-    exponent_vector: tuple[tuple[int, int], ...] = ()
 
 
 def hausdorff_class_gl1(values: Sequence) -> Gl1Class:
     """Classify the subgroup of the positive rationals generated by |values|.
 
-    The subgroup is a lattice inside the prime exponent space.  Rank zero is
-    trivial, rank one is discrete with an exact canonical generator, and rank
-    two or more has non-commensurable logarithms (two rationals have
-    commensurable logs only when their exponent vectors are parallel), hence
-    is dense in the positive reals.
+    Over a pairwise coprime base of the numerators and denominators every
+    value has a unique exponent vector, and the subgroup is the lattice they
+    span.  Rank zero is trivial, rank one is discrete with an exact
+    canonical generator, and rank two or more has non-commensurable
+    logarithms (two rationals have commensurable logs only when their
+    exponent vectors are parallel), hence is dense in the positive reals.
     """
-    vectors: list[dict[int, int]] = []
+    qs: list[Fraction] = []
     for v in values:
-        q = Fraction(v)
+        q = abs(Fraction(v))
         if q == 0:
             raise ZeroValue("zero is not a unit of the rationals")
-        exps = _prime_exponents(abs(q))
-        if exps:
-            vectors.append(exps)
-    if not vectors:
+        if q != 1:
+            qs.append(q)
+    if not qs:
         return Gl1Class(kind="Trivial")
 
-    primes = sorted({p for vec in vectors for p in vec})
-    rows = [tuple(vec.get(p, 0) for p in primes) for vec in vectors]
+    base = _coprime_base([n for q in qs for n in (q.numerator,
+                                                  q.denominator)])
+    rows = [tuple(_valuation(q.numerator, b) - _valuation(q.denominator, b)
+                  for b in base) for q in qs]
 
-    base = rows[0]
-    g = math.gcd(*base)
-    prim = tuple(x // g for x in base)
+    first = rows[0]
+    g = math.gcd(*first)
+    prim = tuple(x // g for x in first)
 
     multiples: list[int] = []
     for row in rows:
-        for a, b in zip(row, prim):
-            for c, d in zip(row, prim):
-                if a * d != b * c:
-                    return Gl1Class(kind="Dense")
+        # a row parallel to the primitive prim is an integer multiple of it
         k = next(r // p for r, p in zip(row, prim) if p != 0)
+        if row != tuple(k * p for p in prim):
+            return Gl1Class(kind="Dense")
         multiples.append(k)
 
     d = math.gcd(*multiples)
-    gen_vec = tuple(d * x for x in prim)
-    gen = Fraction(1)
-    for p, e in zip(primes, gen_vec):
-        gen *= Fraction(p) ** e
-    if gen < 1:
-        gen = 1 / gen
-        gen_vec = tuple(-x for x in gen_vec)
-    pairs = tuple((p, e) for p, e in zip(primes, gen_vec) if e != 0)
-    return Gl1Class(kind="Discrete", generator=gen, exponent_vector=pairs)
+    gen = math.prod(Fraction(b) ** (d * e) for b, e in zip(base, prim))
+    return Gl1Class(kind="Discrete", generator=max(gen, 1 / gen))
 
 
 # ---------------------------------------------------------------------------
@@ -927,8 +931,7 @@ def hausdorff_equivalent(g1: Gl2Subgroup, g2: Gl2Subgroup,
 
     if c1.det_part.kind != c2.det_part.kind:
         return EquivalenceVerdict(kind="NotEquivalent", reason="det_part kind")
-    if (c1.det_part.kind == "Discrete"
-            and c1.det_part.exponent_vector != c2.det_part.exponent_vector):
+    if c1.det_part.generator != c2.det_part.generator:
         return EquivalenceVerdict("NotEquivalent", "det_part generator lattice")
 
     k1, k2 = c1.sl2_part.kind, c2.sl2_part.kind

@@ -22,7 +22,7 @@ from .core_algebra import RatMatrix, gl_distance, word_ball
 from .errors import BallTooLarge, RankUnsupported
 from .graph_of_groups import (AscendingHnnForm, GraphOfGroups,
                               detect_ascending_hnn, modular_holonomy)
-from .subgroup_analysis import (FreenessCertificate, Gl1Class, Gl2Subgroup,
+from .subgroup_analysis import (FreenessCertificate, Gl2Subgroup,
                                 _first_decision, free_injectivity,
                                 hausdorff_class_gl1, hausdorff_equivalent)
 
@@ -228,20 +228,19 @@ class QiComparison:
     endomorphisms: Optional[tuple[RatMatrix, RatMatrix]] = None
 
 
-def _gl1_classes_equal(a: Gl1Class, b: Gl1Class) -> bool:
-    return a.kind == b.kind and a.exponent_vector == b.exponent_vector
-
-
 def qi_compare(g1: GraphOfGroups, g2: GraphOfGroups,
                depth: int = DEFAULT_DEPTH) -> QiComparison:
     """Compare two graphs of groups by trichotomy kind and holonomy class.
 
     Differing kinds or differing holonomy Hausdorff classes separate the
     quasi-isometry classes.  Matching Folded or Proper kinds with matching
-    holonomy class are identified.  A pair of Parabolic verdicts is reported
-    Undetermined with both endomorphisms attached: the finer classification
-    of ascending extensions is out of scope here.  The holonomy-class leg
-    requires equal rank at most two; higher rank raises RankUnsupported.
+    holonomy class are identified.  At rank 1 the holonomy class counts
+    only as trivial or not: graphs of Z's whose holonomy is nontrivial are
+    all quasi-isometric (Whyte, GAFA 11, 2001, Thm 0.1).  A pair of
+    Parabolic verdicts is reported Undetermined with both endomorphisms
+    attached: the finer classification of ascending extensions is out of
+    scope here.  The holonomy-class leg requires equal rank at most two;
+    higher rank raises RankUnsupported.
     """
     c1, c2 = _case(g1, depth), _case(g2, depth)
     v1, v2 = _verdict(c1), _verdict(c2)
@@ -271,12 +270,15 @@ def qi_compare(g1: GraphOfGroups, g2: GraphOfGroups,
     if n == 1:
         h1 = hausdorff_class_gl1([m[0, 0] for m in c1.gens])
         h2 = hausdorff_class_gl1([m[0, 0] for m in c2.gens])
-        if _gl1_classes_equal(h1, h2):
-            return out(SAME_QI, f"both {v1.kind} with holonomy class "
-                       f"{h1.kind}({h1.generator})")
-        return out(DIFFERENT_QI, f"holonomy classes {h1.kind}({h1.generator})"
-                   f" vs {h2.kind}({h2.generator})",
-                   invariant="holonomy line class")
+        classes = (f"{h1.kind}({h1.generator}) and "
+                   f"{h2.kind}({h2.generator})")
+        trivial = h1.kind == "Trivial"
+        if trivial != (h2.kind == "Trivial"):
+            return out(DIFFERENT_QI, f"holonomy classes {classes}: one is "
+                       "trivial", invariant="holonomy line class")
+        return out(SAME_QI, f"both {v1.kind} with "
+                   f"{'trivial' if trivial else 'nontrivial'} holonomy "
+                   f"classes {classes}")
 
     ev = hausdorff_equivalent(Gl2Subgroup(c1.gens), Gl2Subgroup(c2.gens))
     if ev.kind == "Equivalent":

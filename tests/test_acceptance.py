@@ -104,10 +104,6 @@ def test_acceptance_03_gl1_hausdorff_classes():
     # <8/27> = <(2/3)^3> lies on the line of <3/2> with three times the step
     assert c_cube.kind == "Discrete" and c_base.kind == "Discrete"
     assert c_cube.generator == c_base.generator ** 3
-    base_exp = dict(c_base.exponent_vector)
-    cube_exp = dict(c_cube.exponent_vector)
-    assert set(base_exp) == set(cube_exp)
-    assert all(cube_exp[p] == 3 * base_exp[p] for p in base_exp)
 
     # <3/2> and <9/4> generate different discrete subgroups (step vs 2 step)
     assert c_sq.kind == "Discrete"
@@ -140,7 +136,7 @@ def test_acceptance_04_heisenberg_nontrivial():
 
 
 # ---------------------------------------------------------------------------
-# 5. Primitive construction is sound at 4C
+# 5. Primitive construction is sound at 2C
 
 
 def test_acceptance_05_primitive_soundness():
@@ -160,7 +156,7 @@ def test_acceptance_05_primitive_soundness():
         df = coboundary_of_potential(cx, f, 1)
         for e in edges:
             adjusted.values[e] = (a.value(e)[0] + df.value(e)[0],)
-            assert abs(adjusted.values[e][0]) <= 4 * bound_c
+            assert abs(adjusted.values[e][0]) <= 2 * bound_c
             assert isinstance(adjusted.values[e][0], Fraction)
         # adding a coboundary never changes the curvature
         assert d1(cx, adjusted).values == d1(cx, a).values

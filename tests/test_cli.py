@@ -65,12 +65,12 @@ def test_classify_rejects_a_negative_depth(capsys, gog_file):
         assert err == "error: depth must be nonnegative\n"
 
 
-def test_qi_compare_distinguishes_holonomy(capsys, gog_file):
+def test_qi_compare_identifies_nontrivial_holonomy(capsys, gog_file):
     a = gog_file("bs23.json", bs(2, 3))
     b = gog_file("bs49.json", bs(4, 9))
     code, out, _ = run(capsys, ["qi-compare", a, b])
     assert code == 0
-    assert out.startswith("DifferentQiClass:")
+    assert out.startswith("SameQiClass:")
     assert "3/2" in out and "9/4" in out
 
 
@@ -121,6 +121,21 @@ def test_cocycle_check_reports_trivial(capsys, write_doc):
     code, out, _ = run(capsys, ["cocycle", "check", path])
     assert code == 0
     assert out.startswith("Trivial")
+
+
+def test_cocycle_scans_every_loop_length(capsys, write_doc):
+    # the scan has no length cap: the option is unknown (exit 1), and the
+    # JSON report has no parameters
+    path = write_doc("heis.json",
+                     {"complex": {"grid": [9, 9]}, "gluing": "heisenberg"})
+    code, out, err = run(capsys, ["cocycle", "check", path,
+                                  "--length-cap", "12"])
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --length-cap 12" in err
+    code, out, _ = run(capsys, ["cocycle", "check", path, "--json"])
+    assert code == 0
+    assert _strict_json(out)["parameters"] == {}
 
 
 def test_cocycle_primitive_reports_positive_cycle(capsys, write_doc):

@@ -45,7 +45,6 @@ def test_gl1_lattice_reduction_to_primitive_generator():
     c = hausdorff_class_gl1([Fraction(4, 9), Fraction(2, 3)])
     assert c.kind == "Discrete"
     assert c.generator == Fraction(3, 2)
-    assert c.exponent_vector == ((2, -1), (3, 1))
 
 
 def test_gl1_inverse_and_sign_are_absorbed():
@@ -58,6 +57,75 @@ def test_gl1_dense_needs_independent_primes():
     assert hausdorff_class_gl1([Fraction(2), Fraction(3)]).kind == "Dense"
     assert hausdorff_class_gl1([Fraction(6), Fraction(10)]).kind == "Dense"
     assert hausdorff_class_gl1([Fraction(4), Fraction(8)]).kind == "Discrete"
+
+
+MERSENNE_61, MERSENNE_89 = 2 ** 61 - 1, 2 ** 89 - 1
+
+
+def _gl1_oracle(values):
+    """Kind and generator > 1 of <values>, with values given as
+    {ingredient: exponent} maps and each ingredient factored by sympy.
+
+    Products of the two Mersenne primes are never factored whole: trial
+    division and Pollard rho do not finish on them in test time.
+    """
+    rows = []
+    for parts in values:
+        exps = {}
+        for n, e in parts.items():
+            for p, k in sympy.factorint(n).items():
+                exps[p] = exps.get(p, 0) + k * e
+        rows.append(exps)
+    primes = sorted({p for row in rows for p, k in row.items() if k})
+    matrix = [[row.get(p, 0) for p in primes] for row in rows]
+    rank = sympy.Matrix(matrix).rank() if primes else 0
+    if rank == 0:
+        return "Trivial", None
+    if rank >= 2:
+        return "Dense", None
+    # rank one: every row is a multiple of one primitive vector v, and
+    # the gcd of all entries is the step of the lattice along v
+    first = next(row for row in matrix if any(row))
+    step = math.gcd(*(x for row in matrix for x in row))
+    v = [x // math.gcd(*first) for x in first]
+    gen = math.prod(Fraction(p) ** (step * x) for p, x in zip(primes, v))
+    return "Discrete", max(gen, 1 / gen)
+
+
+def _gl1_corpus(rng, count):
+    """Named cases around the Mersenne primes 2^61 - 1 and 2^89 - 1, then
+    seeded groups of powers of one random product, some with one unrelated
+    value added."""
+    m61, m89 = MERSENNE_61, MERSENNE_89
+    cases = [[{m61: 1}], [{m89: 1}], [{m61: 1, m89: 1}], [{m61: 1, m89: -1}],
+             [{m61: 1, m89: 1}, {m61: 1, m89: -1}],
+             [{m61: 2, m89: -2}, {m61: 3, m89: -3}],
+             [{m61: 1, 6: 1}, {m61: -2, 6: -2}, {m89: 1}],
+             [{m61: 4, 10: 2}, {m61: 6, 10: 3}]]
+    pool = list(range(2, 31)) + [m61, m89]
+    while len(cases) < count:
+        base = {rng.choice(pool): rng.choice((-2, -1, 1, 2))
+                for _ in range(rng.randint(1, 3))}
+        group = [{n: k * e for n, e in base.items()}
+                 for k in rng.choices(range(-3, 4), k=rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            group.append({rng.choice(pool): rng.choice((-1, 1))})
+        cases.append(group)
+    return cases
+
+
+def test_gl1_classes_match_a_factoring_oracle():
+    rng = random.Random(34)
+    kinds = set()
+    for group in _gl1_corpus(rng, 300):
+        values = [rng.choice((-1, 1))
+                  * math.prod(Fraction(n) ** e for n, e in parts.items())
+                  for parts in group]
+        c = hausdorff_class_gl1(values)
+        expected = _gl1_oracle(group)
+        assert (c.kind, c.generator) == expected, values
+        kinds.add(c.kind)
+    assert kinds == {"Trivial", "Discrete", "Dense"}
 
 
 # ---------------------------------------------------------------------------

@@ -172,10 +172,19 @@ def test_same_group_is_same_class():
     assert c.verdict == "SameQiClass"
 
 
-def test_distinct_holonomy_classes_differ():
-    c = qi_compare(bs(2, 3), bs(4, 9))
+def test_nontrivial_holonomy_classes_agree():
+    # BS(2, 3), BS(4, 9) and BS(2, 5) are all quasi-isometric (Whyte)
+    for other, holonomy in ((bs(4, 9), "9/4"), (bs(2, 5), "5/2")):
+        c = qi_compare(bs(2, 3), other)
+        assert c.verdict == "SameQiClass"
+        assert "3/2" in c.reason and holonomy in c.reason
+
+
+def test_trivial_and_nontrivial_holonomy_differ():
+    c = qi_compare(bs(2, 2), bs(2, 3))
+    assert c.left.kind == c.right.kind == "Folded"
     assert c.verdict == "DifferentQiClass"
-    assert "3/2" in c.reason and "9/4" in c.reason
+    assert c.invariant == "holonomy line class"
 
 
 def test_folded_same_class_across_presentations():
